@@ -3,11 +3,14 @@
 Eight gate checks, one test each, every tolerance stated inline.  Each test
 prints a single `acceptance N (...): PASS` line with its measured numbers
 (visible with -s or -rP); pytest's own verdict line is the pass/fail record.
-The ring-mixture benchmark (checks 6-8) runs the shipped preset unmodified.
+The ring-mixture benchmark (checks 6-8) runs the shipped preset unmodified;
+the same run is also compared against a committed golden copy of its CSV.
 """
 
+import csv
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -287,3 +290,33 @@ def test_a8_determinism_and_nfe_accounting(preset_report, tmp_path):
         assert row.nfe <= budget, f"{method}@{budget} overspent: {row.nfe}"
     print(f"acceptance 8 (determinism and NFE): PASS (identical {len(first)}-byte "
           f"CSVs; all {len(grid)} units within budget; repeat run {elapsed:.0f}s)")
+
+
+GOLDEN_CSV = Path(__file__).parent / "data" / "preset_golden.csv"
+
+
+def test_preset_matches_golden_copy(preset_report):
+    """The preset rows agree with tests/data/preset_golden.csv, a copy of the
+    preset's results.csv kept so that numerical refactors are checked against
+    fixed numbers, not only against run-to-run determinism.  nfe and seed
+    exact; marginal_accuracy and accept_rate within 1e-3 absolute;
+    second_moment within 1e-3 relative."""
+    report, _ = preset_report
+    with GOLDEN_CSV.open(newline="") as fh:
+        golden = list(csv.DictReader(fh))
+    assert len(golden) == len(report.rows)
+    worst = {"marginal_accuracy": 0.0, "accept_rate": 0.0, "second_moment": 0.0}
+    for row, want in zip(report.rows, golden):
+        unit = f"{want['method']}@{want['nfe']}"
+        assert (row.method, row.nfe, row.seed) == (
+            want["method"], int(want["nfe"]), int(want["seed"])), unit
+        for name in ("marginal_accuracy", "accept_rate"):
+            gap = abs(getattr(row, name) - float(want[name]))
+            assert gap <= 1e-3, f"{unit} {name} off by {gap:.2e}"
+            worst[name] = max(worst[name], gap)
+        ref = float(want["second_moment"])
+        gap = abs(row.second_moment - ref) / abs(ref)
+        assert gap <= 1e-3, f"{unit} second_moment off by {gap:.2e} relative"
+        worst["second_moment"] = max(worst["second_moment"], gap)
+    print(f"golden copy: PASS ({len(golden)} rows; largest gaps: "
+          + ", ".join(f"{k} {v:.1e}" for k, v in worst.items()) + ")")
