@@ -265,6 +265,9 @@ def _run_unit(config: ExperimentConfig, oracle: ScoreOracle, schedule,
         per_mode_mass=modes,
     )
     warn = []
+    bad = int((~np.isfinite(x).all(axis=1)).sum())
+    if bad:
+        warn.append(f"{method}@{budget}: {bad} of {x.shape[0]} chains ended non-finite")
     if clamps:
         warn.append(f"{method}@{budget}: clamped ULD noise covariance {clamps}x")
     if int(state.nfe.max()) > budget:
@@ -373,8 +376,14 @@ def mixture_from_mapping(kv: dict[str, str], origin: str = "<config>",
     kind = kv.get("mixture.kind")
     if kind is None:
         raise ValueError(f"{origin}: missing mixture.kind (or mixture.file)")
+
+    def need(key: str) -> str:
+        if key not in kv:
+            raise ValueError(f"{origin}: mixture.kind = {kind} needs {key}")
+        return kv[key]
+
     if kind == "standard_normal":
-        return IsotropicGaussianMixture.standard_normal(int(kv["mixture.dim"]))
+        return IsotropicGaussianMixture.standard_normal(int(need("mixture.dim")))
     if kind == "ring":
         return IsotropicGaussianMixture.ring(
             int(kv.get("mixture.components", "12")),
@@ -383,14 +392,9 @@ def mixture_from_mapping(kv: dict[str, str], origin: str = "<config>",
             variance=float(kv.get("mixture.variance", "0.007")),
         )
     if kind == "explicit":
-        try:
-            weights = np.array(_floats(kv["mixture.weights"]))
-            variances = np.array(_floats(kv["mixture.variances"]))
-            means = []
-            for i in range(len(weights)):
-                means.append(_floats(kv[f"mixture.means.{i}"]))
-        except KeyError as exc:
-            raise ValueError(f"{origin}: explicit mixture missing {exc.args[0]}") from exc
+        weights = np.array(_floats(need("mixture.weights")))
+        variances = np.array(_floats(need("mixture.variances")))
+        means = [_floats(need(f"mixture.means.{i}")) for i in range(len(weights))]
         return IsotropicGaussianMixture(weights, np.array(means), variances)
     raise ValueError(f"{origin}: unknown mixture.kind {kind!r}")
 

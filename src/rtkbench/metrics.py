@@ -68,12 +68,27 @@ class Histogram1D:
         return cls(edges, mass, float((n - counts.sum()) / n), n)
 
 
+def _finite_range(x: Array) -> tuple[float, float]:
+    """(min, max) over the finite entries; (inf, -inf) when there are none."""
+    lo, hi = np.min(x, initial=np.inf), np.max(x, initial=-np.inf)
+    if np.isfinite(lo) and np.isfinite(hi):  # no NaN or inf: no copy needed
+        return lo, hi
+    finite = x[np.isfinite(x)]
+    return np.min(finite, initial=np.inf), np.max(finite, initial=-np.inf)
+
+
 def pooled_edges(a: Array, b: Array, bins: int) -> Array:
-    """Uniform edges spanning the pooled min/max of both sample sets."""
+    """Uniform edges spanning the pooled finite min/max of both sample sets.
+
+    NaN and inf entries are left out of the range, so they fall in a
+    histogram's out_of_range mass.
+    """
     if bins < 1:
         raise ValueError("need at least one bin")
-    lo = min(np.min(a), np.min(b))
-    hi = max(np.max(a), np.max(b))
+    (lo_a, hi_a), (lo_b, hi_b) = _finite_range(np.asarray(a)), _finite_range(np.asarray(b))
+    lo, hi = min(lo_a, lo_b), max(hi_a, hi_b)
+    if not (hi >= lo):  # no finite entry on either side
+        lo = hi = 0.0
     if not (hi > lo):
         lo, hi = lo - 0.5, hi + 0.5
     return np.linspace(lo, hi, bins + 1)

@@ -324,7 +324,9 @@ def mala_run(target, spec: MalaSpec, state: ChainState) -> ChainState:
     """Run spec.steps MALA iterations, caching the current-point score.
 
     The initial score query costs one NFE unit; each subsequent proposal
-    costs spec.step_nfe (1 exact, 2^(u-1) score-only).  The projected gate,
+    costs spec.step_nfe (1 exact, 2^(u-1) score-only).  The exact estimator
+    also carries log p at the current point, taken from the same mixture
+    pass as each score, so a proposal costs one pass.  The projected gate,
     when enabled, masks acceptance after the ordinary draws so a gated run
     replays a standard run bit-for-bit whenever the gate never fires.
     """
@@ -335,7 +337,10 @@ def mala_run(target, spec: MalaSpec, state: ChainState) -> ChainState:
     tau = spec.tau
     taylor = spec.estimator == "taylor"
     dt = _resolve_taylor_dt(spec, target.oracle) if taylor else 0.0
-    score_z = target.score(z)
+    if taylor:
+        score_z = target.score(z)
+    else:
+        score_z, logp_z = target.score(z, with_log_density=True)
     grad_z = target.grad_energy(z, score_value=score_z)
     state.nfe += 1
     root = math.sqrt(2.0 * tau)
@@ -346,15 +351,16 @@ def mala_run(target, spec: MalaSpec, state: ChainState) -> ChainState:
         proposed = np.ones(z.shape[0], dtype=bool)
         if spec.lazy:
             proposed = rng.random(z.shape[0]) < 0.5
-        score_prop = target.score(z_prop)
-        grad_prop = target.grad_energy(z_prop, score_value=score_prop)
         if taylor:
+            score_prop = target.score(z_prop)
             f_diff, _ = taylor_energy_diff(target.score, z, z_prop,
                                            u=spec.taylor_order, dt=dt,
                                            score_at_z=score_z)
             r = -(f_diff + target.quadratic_diff(z, z_prop))
         else:
-            r = -target.energy_diff(z, z_prop)
+            score_prop, logp_prop = target.score(z_prop, with_log_density=True)
+            r = -target.energy_diff(z, z_prop, log_p=(logp_z, logp_prop))
+        grad_prop = target.grad_energy(z_prop, score_value=score_prop)
         log_a = mala_accept_log(target, z, z_prop, tau, grad_z=grad_z,
                                 grad_prop=grad_prop, neg_energy_diff=r)
         accept = (log_u < log_a) & proposed
@@ -367,6 +373,8 @@ def mala_run(target, spec: MalaSpec, state: ChainState) -> ChainState:
         z = np.where(keep, z_prop, z)
         score_z = np.where(keep, score_prop, score_z)
         grad_z = np.where(keep, grad_prop, grad_z)
+        if not taylor:
+            logp_z = np.where(accept, logp_prop, logp_z)
     state.positions = z
     return state
 

@@ -167,9 +167,13 @@ class RtkTarget:
     def dim(self) -> int:
         return self.oracle.dim
 
-    def score(self, z: Array) -> Array:
-        """Oracle score at the base time (one score call per row)."""
-        return self.oracle.score(self.t_base, z)
+    def score(self, z: Array, with_log_density: bool = False):
+        """Oracle score at the base time (one score call per row).
+
+        with_log_density also returns log p_t(z) from the same pass, for
+        energy_diff's log_p.
+        """
+        return self.oracle.score(self.t_base, z, with_log_density=with_log_density)
 
     def grad_energy(self, z: Array, score_value: Array | None = None) -> Array:
         """grad g(z) = -score(t, z) + (e^(-2 eta) z - e^(-eta) x_prev) / (1 - e^(-2 eta))."""
@@ -185,9 +189,14 @@ class RtkTarget:
         b = self.x_prev - self.decay * z
         return ((a * a).sum(axis=-1) - (b * b).sum(axis=-1)) / (2.0 * self.denom)
 
-    def energy_diff(self, z: Array, z2: Array) -> Array:
-        """g(z2) - g(z) via the oracle's energy-difference query (zero NFE)."""
-        return self.oracle.energy_difference(self.t_base, z, z2) + self.quadratic_diff(z, z2)
+    def energy_diff(self, z: Array, z2: Array, log_p=None) -> Array:
+        """g(z2) - g(z) via the oracle's energy-difference query (zero NFE).
+
+        log_p = (log p_t(z), log p_t(z2)) skips the oracle's log-density
+        passes; the energy error and the quadratic part still apply.
+        """
+        return (self.oracle.energy_difference(self.t_base, z, z2, log_p=log_p)
+                + self.quadratic_diff(z, z2))
 
     def energy(self, z: Array) -> Array:
         """g(z) up to the additive constant -log p_t normalization carries.

@@ -122,7 +122,12 @@ def forward_marginal(mix: IsotropicGaussianMixture, t) -> IsotropicGaussianMixtu
 
 
 def _component_logpdfs(mix: IsotropicGaussianMixture, t, x: Array):
-    """Per-component log w_k + log N(x; mu_k(t), v_k(t) I), shape (..., K)."""
+    """Per-component log w_k + log N(x; mu_k(t), v_k(t) I), shape (..., K).
+
+    Squared distances come in GEMM form, ||x||^2 - 2 x.mu^T + ||mu||^2
+    clamped at 0, so no (..., K, d) difference tensor is built.  Also
+    returns the diffused means (K, d) and variances (K,).
+    """
     t = _time_value(t)
     decay = math.exp(-t)
     x = np.asarray(x, dtype=np.float64)
@@ -131,10 +136,11 @@ def _component_logpdfs(mix: IsotropicGaussianMixture, t, x: Array):
         raise ValueError(f"points have dim {x.shape[-1]}, mixture has dim {d}")
     means = mix.means * decay                                   # (K, d)
     var = mix.variances * decay * decay + (1.0 - decay * decay)  # (K,)
-    diff = x[..., None, :] - means                               # (..., K, d)
-    sq = np.einsum("...kd,...kd->...k", diff, diff)
+    sq = (x * x).sum(axis=-1)[..., None] - 2.0 * (x @ means.T)
+    sq += (means * means).sum(axis=-1)
+    np.maximum(sq, 0.0, out=sq)
     logw = np.log(mix.weights)
-    return logw - 0.5 * d * np.log(2.0 * np.pi * var) - sq / (2.0 * var), diff, var
+    return logw - 0.5 * d * np.log(2.0 * np.pi * var) - sq / (2.0 * var), means, var
 
 
 def log_density(mix: IsotropicGaussianMixture, t, x) -> Array | float:
@@ -145,13 +151,24 @@ def log_density(mix: IsotropicGaussianMixture, t, x) -> Array | float:
     return float(out) if out.ndim == 0 else out
 
 
-def score(mix: IsotropicGaussianMixture, t, x) -> Array:
-    """grad_x log p_t(x), the exact score of the diffused mixture."""
-    comp, diff, var = _component_logpdfs(mix, t, x)
-    top = comp.max(axis=-1, keepdims=True)
-    resp = np.exp(comp - top)
-    resp /= resp.sum(axis=-1, keepdims=True)                     # (..., K)
-    return -np.einsum("...k,...kd->...d", resp / var, diff)
+def score(mix: IsotropicGaussianMixture, t, x, with_log_density: bool = False):
+    """grad_x log p_t(x), the exact score of the diffused mixture.
+
+    With with_log_density the same pass also returns log p_t(x), bit-equal
+    to log_density(mix, t, x), as a (score, log p) pair.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    comp, means, var = _component_logpdfs(mix, t, x)
+    top = comp.max(axis=-1)
+    resp = np.exp(comp - top[..., None])
+    total = resp.sum(axis=-1)
+    resp /= total[..., None]                                     # (..., K)
+    w = resp / var
+    out = w @ means - w.sum(axis=-1)[..., None] * x
+    if not with_log_density:
+        return out
+    logp = top + np.log(total)
+    return out, (float(logp) if logp.ndim == 0 else logp)
 
 
 def sample_base(mix: IsotropicGaussianMixture, n: int, rng: np.random.Generator) -> Array:
@@ -192,6 +209,12 @@ class ScoreOracle:
     bit-identical.  error_cell sets the spatial grain of the error field:
     small cells act like frozen white noise, one huge cell gives a single
     systematic direction per query time, the worst case of the error model.
+
+    When every row of a score batch falls in one error cell, the direction
+    is hashed once and broadcast; energy-difference rows whose two points
+    share a cell get a zero perturbation without being hashed.  Either way
+    the result is the same as hashing row by row.  Every score row is meant
+    to enter through score(), which is where calls are counted.
     """
 
     base: IsotropicGaussianMixture
@@ -228,29 +251,43 @@ class ScoreOracle:
         cells = self._cells(x)
         prefix = self._key_prefix(t)
         flat = cells.reshape(-1, cells.shape[-1])
+        if flat.shape[0] > 0 and (flat == flat[0]).all():
+            return self.score_error * _hashed_unit_direction(prefix + flat[0].tobytes(), self.dim)
         out = np.empty((flat.shape[0], self.dim))
         for i, row in enumerate(flat):
             out[i] = _hashed_unit_direction(prefix + row.tobytes(), self.dim)
         return self.score_error * out.reshape(cells.shape[:-1] + (self.dim,))
 
-    def score(self, t, x) -> Array:
-        """Score query s_(theta,t)(x), within score_error of the exact score."""
-        exact = score(self.base, t, x)
+    def score(self, t, x, with_log_density: bool = False):
+        """Score query s_(theta,t)(x), within score_error of the exact score.
+
+        With with_log_density, returns (score, exact log p_t(x)) from one
+        mixture pass; the log density carries no error.
+        """
+        exact = score(self.base, t, x, with_log_density=with_log_density)
         if self.score_error == 0.0:
             return exact
-        return exact + self._score_perturbation(t, np.asarray(x, dtype=np.float64))
+        noise = self._score_perturbation(t, np.asarray(x, dtype=np.float64))
+        if with_log_density:
+            return exact[0] + noise, exact[1]
+        return exact + noise
 
-    def energy_difference(self, t, z, z2):
+    def energy_difference(self, t, z, z2, log_p=None):
         """f_t(z2) - f_t(z) with f_t = -log p_t, within energy_error.
 
         The perturbation is +-energy_error with a hash-derived sign that
         flips under argument swap, so the estimate stays antisymmetric, and
         it vanishes when both points fall in the same error cell (in
-        particular for z2 == z).
+        particular for z2 == z).  log_p = (log p_t(z), log p_t(z2)), when the
+        caller already holds them from score(..., with_log_density=True),
+        replaces the two log-density passes.
         """
         z = np.asarray(z, dtype=np.float64)
         z2 = np.asarray(z2, dtype=np.float64)
-        exact = log_density(self.base, t, z) - log_density(self.base, t, z2)
+        if log_p is None:
+            exact = log_density(self.base, t, z) - log_density(self.base, t, z2)
+        else:
+            exact = log_p[0] - log_p[1]
         if self.energy_error == 0.0:
             return exact
         ca = self._cells(z)
@@ -258,12 +295,10 @@ class ScoreOracle:
         prefix = self._key_prefix(t)
         fa = ca.reshape(-1, ca.shape[-1])
         fb = cb.reshape(-1, cb.shape[-1])
-        delta = np.empty(fa.shape[0])
-        for i in range(fa.shape[0]):
+        delta = np.zeros(fa.shape[0])
+        for i in np.flatnonzero((fa != fb).any(axis=-1)):
             a, b = fa[i].tobytes(), fb[i].tobytes()
-            if a == b:
-                delta[i] = 0.0
-            elif a < b:
+            if a < b:
                 delta[i] = _hashed_sign(prefix + a + b)
             else:
                 delta[i] = -_hashed_sign(prefix + b + a)

@@ -2,12 +2,14 @@
 
 import math
 import xml.etree.ElementTree as ET
-from dataclasses import replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import pytest
 
+from rtkbench import bench, targets
 from rtkbench.bench import (
+    METHODS,
     ExperimentConfig,
     allocate_nfe,
     build_schedule,
@@ -23,9 +25,16 @@ from rtkbench.bench import (
     split_budget,
 )
 from rtkbench.metrics import MetricsRow
-from rtkbench.samplers import MalaSpec, UlaSpec, UldSpec, default_projection_params
+from rtkbench.samplers import (
+    MalaSpec,
+    UlaSpec,
+    UldSpec,
+    ddpm_run,
+    default_projection_params,
+    rtk_run,
+)
 from rtkbench.schedule import FixedSchedule, RtkSchedule
-from rtkbench.targets import IsotropicGaussianMixture
+from rtkbench.targets import IsotropicGaussianMixture, ScoreOracle
 
 
 def small_config(**overrides) -> ExperimentConfig:
@@ -349,6 +358,75 @@ class TestRunExperiment:
         row = rep.rows[0]
         assert row.per_mode_mass is not None and len(row.per_mode_mass) == 4
         assert sum(row.per_mode_mass) == pytest.approx(1.0)
+
+    def test_non_finite_chains_are_reported(self, monkeypatch):
+        real = bench.ddpm_run
+
+        def diverging(*args, **kwargs):
+            state = real(*args, **kwargs)
+            state.positions[0, 0] = np.nan
+            state.positions[1, 1] = np.inf
+            return state
+
+        monkeypatch.setattr(bench, "ddpm_run", diverging)
+        rep = run_experiment(small_config(methods=("ddpm",), nfe_budgets=(12,)))
+        assert rep.warnings == ["ddpm@12: 2 of 60 chains ended non-finite"]
+        assert 0.5 <= rep.rows[0].marginal_accuracy <= 1.0
+
+
+@dataclass(frozen=True)
+class CountingOracle(ScoreOracle):
+    """ScoreOracle that counts the query rows passed to score()."""
+
+    rows: list = field(default_factory=lambda: [0])
+
+    def score(self, t, x, **kwargs):
+        self.rows[0] += math.prod(np.shape(x)[:-1])
+        return super().score(t, x, **kwargs)
+
+
+class TestNfeAudit:
+    """Score rows the oracle really evaluates, against the NFE a unit charges."""
+
+    @staticmethod
+    def run_unit(config, method, budget, oracle):
+        schedule, curvatures = build_schedule(config)
+        rng = np.random.default_rng(3)
+        if method == "ddpm":
+            return ddpm_run(oracle, config.horizon, budget, config.n_samples, rng)
+        specs = build_specs(config, schedule, method, budget, curvatures)
+        return rtk_run(oracle, schedule, specs, config.n_samples, rng,
+                       init_L=curvatures)[0]
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_score_rows_match_charged_nfe(self, method):
+        mix = IsotropicGaussianMixture.ring(4, 2, variance=0.05)
+        config = small_config(mixture=mix, score_error=0.5, error_cell=1e6)
+        for budget in config.nfe_budgets:
+            oracle = CountingOracle(mix, score_error=0.5, error_cell=1e6)
+            state = self.run_unit(config, method, budget, oracle)
+            charged = int(state.nfe.max()) * config.n_samples
+            if method == "mala_es":  # Taylor steps may reuse score(z)
+                assert 0 < oracle.rows[0] <= charged
+            else:
+                assert oracle.rows[0] == charged
+
+    def test_exact_mala_makes_no_log_density_pass(self, monkeypatch):
+        calls = []
+        real = targets.log_density
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(targets, "log_density", counting)
+        config = small_config()
+        oracle = ScoreOracle(config.mixture, energy_error=0.0)
+        state = self.run_unit(config, "mala", 24, oracle)
+        assert int(state.propose_count.sum()) > 0
+        assert calls == []
+        oracle.energy_difference(0.5, state.positions[:2], state.positions[2:4])
+        assert len(calls) == 2  # the hook sees the oracle's own passes
 
 
 class TestEmitCsv:

@@ -54,6 +54,17 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert "exp.cfg:2" in err
 
+    def test_missing_mixture_key_is_named_in_one_line(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(SMALL_CONFIG.replace("mixture.dim = 2\n", ""))
+        code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert err.count("\n") == 1
+        assert "mixture.dim" in err
+        assert "Traceback" not in err
+
 
 class TestPresetCommand:
     def test_written_file_reproduces_the_preset(self, tmp_path):

@@ -123,6 +123,22 @@ class TestMarginalAccuracy:
         b = rng.normal(0.1, 1.1, (5000, 4))
         assert marginal_accuracy(a, b) == marginal_accuracy(b, a)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_sample_lands_out_of_range(self, bad):
+        rng = np.random.default_rng(11)
+        ref = rng.standard_normal((2000, 2))
+        x = ref[:100].copy()
+        x[0, 0] = bad
+        edges = pooled_edges(x[:, 0], ref[:, 0], 100)
+        assert np.array_equal(edges, pooled_edges(ref[:, 0], ref[:, 0], 100))
+        assert Histogram1D.from_samples(x[:, 0], edges).out_of_range == pytest.approx(0.01)
+        clean = marginal_accuracy(ref[:100], ref)
+        assert clean - 0.005 <= marginal_accuracy(x, ref) <= clean
+
+    def test_all_non_finite_gives_finite_edges(self):
+        edges = pooled_edges(np.array([np.nan, np.inf]), np.array([-np.inf]), 4)
+        assert np.isfinite(edges).all() and (np.diff(edges) > 0).all()
+
     def test_shift_invariance(self):
         rng = np.random.default_rng(10)
         a = rng.standard_normal((4000, 2))

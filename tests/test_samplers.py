@@ -37,8 +37,9 @@ class GaussianTarget:
         self.c = c
         self.oracle = SimpleNamespace(score_error=0.0)
 
-    def score(self, z):
-        return -self.c * np.asarray(z, dtype=float)
+    def score(self, z, with_log_density=False):
+        s = -self.c * np.asarray(z, dtype=float)
+        return (s, -self.energy(z)) if with_log_density else s
 
     def grad_energy(self, z, score_value=None):
         s = self.score(z) if score_value is None else score_value
@@ -51,7 +52,9 @@ class GaussianTarget:
         z = np.asarray(z, dtype=float)
         return self.c * (z * z).sum(axis=-1) / 2.0
 
-    def energy_diff(self, z, z2):
+    def energy_diff(self, z, z2, log_p=None):
+        if log_p is not None:
+            return log_p[0] - log_p[1]
         return self.energy(z2) - self.energy(z)
 
 

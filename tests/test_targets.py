@@ -181,6 +181,37 @@ class TestScore:
                 fd = (log_density(mix, t, x + e) - log_density(mix, t, x - e)) / (2 * h)
                 np.testing.assert_allclose(s[:, j], fd, rtol=2e-5, atol=1e-7)
 
+    def test_matches_difference_tensor_reference(self):
+        # The (n, K, d) difference-tensor form the GEMM kernel replaced; the
+        # summation order differs, so agreement is to float64 rounding.
+        mix = preset_ring()
+        rng = np.random.default_rng(12)
+        for t in (0.0, 0.3, 4.8):
+            x = sample_base(forward_marginal(mix, t), 200, rng)
+            decay = math.exp(-t)
+            means = mix.means * decay
+            var = mix.variances * decay ** 2 + 1.0 - decay ** 2
+            diff = x[:, None, :] - means
+            comp = (np.log(mix.weights) - 0.5 * mix.dim * np.log(2 * np.pi * var)
+                    - np.einsum("nkd,nkd->nk", diff, diff) / (2 * var))
+            top = comp.max(axis=1)
+            resp = np.exp(comp - top[:, None])
+            want_logp = top + np.log(resp.sum(axis=1))
+            resp /= resp.sum(axis=1, keepdims=True)
+            want = -np.einsum("nk,nkd->nd", resp / var, diff)
+            got, logp = score(mix, t, x, with_log_density=True)
+            np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10)
+            np.testing.assert_allclose(logp, want_logp, rtol=1e-12, atol=1e-12)
+
+    def test_log_density_from_score_pass_is_bit_equal(self):
+        mix = preset_ring()
+        x = np.random.default_rng(13).standard_normal((64, 10))
+        s, logp = score(mix, 0.7, x, with_log_density=True)
+        np.testing.assert_array_equal(s, score(mix, 0.7, x))
+        np.testing.assert_array_equal(logp, log_density(mix, 0.7, x))
+        s1, logp1 = score(mix, 0.7, x[0], with_log_density=True)
+        assert s1.shape == (10,) and logp1 == log_density(mix, 0.7, x[0])
+
 
 class TestSampleBase:
     def test_moments(self):
@@ -266,6 +297,34 @@ class TestScoreOracle:
         x = rng.standard_normal((50, 10))
         dirs = oracle.score(0.3, x) - score(mix, 0.3, x)
         np.testing.assert_allclose(dirs, np.tile(dirs[0], (50, 1)), atol=1e-12)
+
+    def test_single_cell_fast_path_matches_per_row_hashing(self):
+        # One far row puts the batch in two cells, so it is hashed row by row.
+        mix = preset_ring()
+        oracle = ScoreOracle(mix, score_error=0.2, error_seed=1, error_cell=1e6)
+        x = np.random.default_rng(6).standard_normal((50, 10))
+        mixed = np.vstack([x, np.full((1, 10), 3e6)])
+        np.testing.assert_array_equal(oracle.score(0.3, x), oracle.score(0.3, mixed)[:50])
+        s, logp = oracle.score(0.3, x, with_log_density=True)
+        np.testing.assert_array_equal(s, oracle.score(0.3, x))
+        np.testing.assert_array_equal(logp, log_density(mix, 0.3, x))
+
+    def test_energy_difference_rows_are_independent(self):
+        mix = preset_ring()
+        oracle = ScoreOracle(mix, energy_error=0.05, error_seed=4, error_cell=0.5)
+        rng = np.random.default_rng(7)
+        z = rng.standard_normal((40, 10))
+        moved = rng.random(40) < 0.5
+        z2 = z + rng.normal(scale=0.3, size=z.shape) * moved[:, None]
+        log_p = (log_density(mix, 0.1, z), log_density(mix, 0.1, z2))
+        got = oracle.energy_difference(0.1, z, z2)
+        np.testing.assert_array_equal(oracle.energy_difference(0.1, z, z2, log_p=log_p), got)
+        signs = np.round((got - (log_p[0] - log_p[1])) / 0.05)
+        row_signs = [round((oracle.energy_difference(0.1, z[i], z2[i])
+                            - log_density(mix, 0.1, z[i]) + log_density(mix, 0.1, z2[i])) / 0.05)
+                     for i in range(40)]
+        np.testing.assert_array_equal(signs, row_signs)
+        assert np.all(signs[~moved] == 0) and np.all(np.abs(signs[moved]) == 1)
 
 
 class TestEstimateSmoothness:
