@@ -33,6 +33,10 @@ Array = np.ndarray
 
 METHODS = ("ddpm", "ula", "uld", "mala", "mala_es")
 
+# A finite chain has diverged when ||x||^2 exceeds this multiple of the
+# target's second moment E||x||^2.
+DIVERGED_FACTOR = 1e3
+
 __all__ = [
     "METHODS",
     "ExperimentConfig",
@@ -265,9 +269,15 @@ def _run_unit(config: ExperimentConfig, oracle: ScoreOracle, schedule,
         per_mode_mass=modes,
     )
     warn = []
-    bad = int((~np.isfinite(x).all(axis=1)).sum())
+    finite = np.isfinite(x).all(axis=1)
+    bad = int((~finite).sum())
     if bad:
         warn.append(f"{method}@{budget}: {bad} of {x.shape[0]} chains ended non-finite")
+    with np.errstate(over="ignore"):  # an inf square still counts as diverged
+        sq = (x * x).sum(axis=1)
+    far = int((finite & ~(sq <= DIVERGED_FACTOR * mix.second_moment())).sum())
+    if far:
+        warn.append(f"{method}@{budget}: {far} of {x.shape[0]} chains diverged")
     if clamps:
         warn.append(f"{method}@{budget}: clamped ULD noise covariance {clamps}x")
     if int(state.nfe.max()) > budget:
@@ -377,24 +387,28 @@ def mixture_from_mapping(kv: dict[str, str], origin: str = "<config>",
     if kind is None:
         raise ValueError(f"{origin}: missing mixture.kind (or mixture.file)")
 
-    def need(key: str) -> str:
-        if key not in kv:
+    def value(key: str, conv, default: str | None = None):
+        if key not in kv and default is None:
             raise ValueError(f"{origin}: mixture.kind = {kind} needs {key}")
-        return kv[key]
+        text = kv.get(key, default)
+        try:
+            return conv(text)
+        except ValueError as exc:
+            raise ValueError(f"{origin}: bad value for {key}: {text!r}") from exc
 
     if kind == "standard_normal":
-        return IsotropicGaussianMixture.standard_normal(int(need("mixture.dim")))
+        return IsotropicGaussianMixture.standard_normal(value("mixture.dim", int))
     if kind == "ring":
         return IsotropicGaussianMixture.ring(
-            int(kv.get("mixture.components", "12")),
-            int(kv.get("mixture.dim", "10")),
-            radius=float(kv.get("mixture.radius", "1.0")),
-            variance=float(kv.get("mixture.variance", "0.007")),
+            value("mixture.components", int, "12"),
+            value("mixture.dim", int, "10"),
+            radius=value("mixture.radius", float, "1.0"),
+            variance=value("mixture.variance", float, "0.007"),
         )
     if kind == "explicit":
-        weights = np.array(_floats(need("mixture.weights")))
-        variances = np.array(_floats(need("mixture.variances")))
-        means = [_floats(need(f"mixture.means.{i}")) for i in range(len(weights))]
+        weights = np.array(value("mixture.weights", _floats))
+        variances = np.array(value("mixture.variances", _floats))
+        means = [value(f"mixture.means.{i}", _floats) for i in range(len(weights))]
         return IsotropicGaussianMixture(weights, np.array(means), variances)
     raise ValueError(f"{origin}: unknown mixture.kind {kind!r}")
 

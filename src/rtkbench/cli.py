@@ -1,13 +1,15 @@
 """Command-line interface: run configured sweeps, write presets, self-check.
 
 The selftest subcommand reruns the core exactness checks (detailed balance,
-ULD noise covariance, Taylor estimator, a small end-to-end fixed point)
-without any test-only dependency, so an installed wheel can vouch for itself.
+ULD noise covariance, Taylor estimator, a small end-to-end fixed point, the
+error-field seeding) without any test-only dependency, so an installed wheel
+can vouch for itself.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import math
 import sys
 from dataclasses import replace
@@ -31,7 +33,12 @@ from .samplers import (
     uld_noise_covariance,
 )
 from .schedule import FixedSchedule, make_target
-from .targets import IsotropicGaussianMixture, ScoreOracle
+from .targets import (
+    IsotropicGaussianMixture,
+    ScoreOracle,
+    _draw_unit_rows,
+    _seed_sequence_state,
+)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -197,12 +204,33 @@ def _check_determinism() -> None:
         raise AssertionError("repeated run changed CSV rows")
 
 
+def _check_error_field() -> None:
+    # The batched seeding re-implements SeedSequence and PCG64's srandom;
+    # a numpy release that changes either must fail here.
+    for n in (1, 2**40 + 3, 2**127 + 5):
+        words = np.frombuffer(n.to_bytes(16, "little"), dtype="<u4").reshape(1, 4)
+        if not np.array_equal(_seed_sequence_state(words)[0],
+                              np.random.SeedSequence(n).generate_state(4, np.uint64)):
+            raise AssertionError(f"SeedSequence({n}) state differs from numpy's")
+    payloads = [i.to_bytes(8, "little") for i in range(20)]  # a batched pass
+    for dim in (2, 10):
+        for payload, row in zip(payloads, _draw_unit_rows(payloads, dim)):
+            digest = hashlib.blake2b(payload, digest_size=16).digest()
+            g = np.random.Generator(np.random.PCG64(int.from_bytes(digest, "little")))
+            vec = g.standard_normal(dim)
+            if not np.array_equal(row, vec / np.linalg.norm(vec)):
+                raise AssertionError(
+                    f"error-field direction for payload {payload.hex()} (d={dim}) "
+                    "differs from numpy's PCG64(int) path")
+
+
 _SELFTEST_CHECKS = (
     ("detailed-balance", _check_detailed_balance),
     ("uld-covariance", _check_uld_covariance),
     ("taylor-estimator", _check_taylor_estimator),
     ("rtk-fixed-point", _check_rtk_fixed_point),
     ("determinism", _check_determinism),
+    ("error-field", _check_error_field),
 )
 
 

@@ -15,8 +15,9 @@ from __future__ import annotations
 
 import hashlib
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -180,19 +181,149 @@ def sample_base(mix: IsotropicGaussianMixture, n: int, rng: np.random.Generator)
     return mix.means[idx] + np.sqrt(mix.variances[idx])[:, None] * noise
 
 
-@lru_cache(maxsize=16384)
-def _hashed_unit_direction(payload: bytes, dim: int) -> Array:
-    digest = hashlib.blake2b(payload, digest_size=16).digest()
-    g = np.random.Generator(np.random.PCG64(int.from_bytes(digest, "little")))
-    vec = g.standard_normal(dim)
-    norm = np.linalg.norm(vec)
-    while norm == 0.0:  # astronomically unlikely; redraw for safety
-        vec = g.standard_normal(dim)
-        norm = np.linalg.norm(vec)
-    return _readonly(vec / norm)
+# SeedSequence's hashing constants (numpy/random/bit_generator.pyx) and
+# PCG64's 128-bit LCG multiplier, for the batched seed derivation below.
+_SS_INIT_A, _SS_MULT_A = 0x43B0D7E5, 0x931E8875
+_SS_INIT_B, _SS_MULT_B = 0x8B51F9DD, 0x58F38DED
+_SS_MIX_L, _SS_MIX_R = 0xCA01F9DD, 0x4973F715
+_U32 = 0xFFFFFFFF
+_U128 = (1 << 128) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+_BATCH_SEEDING_MIN_ROWS = 16
+_DIRECTION_MEMO_SIZE = 16384
+_direction_memo: OrderedDict = OrderedDict()  # (payload, dim) -> unit row
+_direction_lock = threading.Lock()
+_thread_state = threading.local()
 
 
-@lru_cache(maxsize=16384)
+def _seed_sequence_state(entropy: Array) -> Array:
+    """SeedSequence(n).generate_state(4, np.uint64) for many ints n at once.
+
+    entropy is (m, 4) uint32, the little-endian words of each n.  An int
+    drops its high zero words, and SeedSequence fills the rest of its
+    4-word pool by hashing zeros, so zero words give the same pool.
+    Returns (m, 4) uint64.
+    """
+    entropy = np.asarray(entropy, dtype=np.uint32)
+    hash_a = _SS_INIT_A
+
+    def hashmix(v):
+        nonlocal hash_a
+        v = v ^ np.uint32(hash_a)
+        hash_a = (hash_a * _SS_MULT_A) & _U32
+        v = v * np.uint32(hash_a)
+        return v ^ (v >> np.uint32(16))
+
+    def mix(x, y):
+        r = np.uint32(_SS_MIX_L) * x - np.uint32(_SS_MIX_R) * y
+        return r ^ (r >> np.uint32(16))
+
+    pool = [hashmix(entropy[:, i]) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    words = np.empty((entropy.shape[0], 8), dtype="<u4")
+    hash_b = _SS_INIT_B
+    for i in range(8):
+        v = pool[i % 4] ^ np.uint32(hash_b)
+        hash_b = (hash_b * _SS_MULT_B) & _U32
+        v = v * np.uint32(hash_b)
+        words[:, i] = v ^ (v >> np.uint32(16))
+    return words.view("<u8").astype(np.uint64)
+
+
+def _pcg64_states(digests: bytes) -> list[tuple[int, int]]:
+    """(state, inc) of PCG64(int.from_bytes(d, "little")) per 16-byte digest d."""
+    seeds = _seed_sequence_state(np.frombuffer(digests, dtype="<u4").reshape(-1, 4))
+    out = []
+    for s0, s1, s2, s3 in seeds.tolist():
+        # PCG64's srandom: inc = 2 initseq + 1, then two LCG steps from
+        # state 0 with initstate added in between; the first step yields inc.
+        inc = ((((s2 << 64) | s3) << 1) | 1) & _U128
+        initstate = (s0 << 64) | s1
+        out.append((((initstate + inc) * _PCG_MULT + inc) & _U128, inc))
+    return out
+
+
+def _row_generators(digests: list[bytes]):
+    """A generator in the state of PCG64(int.from_bytes(d, "little")), per digest d.
+
+    A batch reuses this thread's generator, so take each one's draws before
+    advancing to the next.  Below _BATCH_SEEDING_MIN_ROWS digests the
+    batched SeedSequence pass costs more than seeding each row through numpy.
+    """
+    if len(digests) < _BATCH_SEEDING_MIN_ROWS:
+        for d in digests:
+            yield np.random.Generator(np.random.PCG64(int.from_bytes(d, "little")))
+        return
+    gen = getattr(_thread_state, "gen", None)
+    if gen is None:
+        gen = _thread_state.gen = np.random.Generator(np.random.PCG64(0))
+    bg = gen.bit_generator
+    inner = {"state": 0, "inc": 0}
+    state = {"bit_generator": "PCG64", "state": inner, "has_uint32": 0, "uinteger": 0}
+    for start, inc in _pcg64_states(b"".join(digests)):
+        inner["state"], inner["inc"] = start, inc
+        bg.state = state
+        yield gen
+
+
+def _draw_unit_rows(payloads: list[bytes], dim: int) -> Array:
+    """Rows of _hashed_unit_directions, one per payload, without the memo."""
+    digests = [hashlib.blake2b(p, digest_size=16).digest() for p in payloads]
+    out = np.empty((len(digests), dim))
+    for row, gen in zip(out, _row_generators(digests)):
+        gen.standard_normal(out=row)
+    # A stacked vector-vector matmul is the same dot product as the 1-D
+    # np.linalg.norm, bit for bit; a row-wise sum is not.
+    norms = np.sqrt(np.matmul(out[:, None, :], out[:, :, None])[:, 0, 0])
+    for i in np.flatnonzero(norms == 0.0):  # astronomically unlikely
+        gen = np.random.Generator(np.random.PCG64(int.from_bytes(digests[i], "little")))
+        gen.standard_normal(out=out[i])
+        while norms[i] == 0.0:
+            gen.standard_normal(out=out[i])
+            norms[i] = np.linalg.norm(out[i])
+    out /= norms[:, None]
+    return out
+
+
+def _hashed_unit_directions(payloads: Sequence[bytes], dim: int) -> Array:
+    """One pseudorandom unit vector per payload, shape (len(payloads), dim).
+
+    Row i is bit-equal to the per-row derivation
+    g = Generator(PCG64(int.from_bytes(blake2b(payload, digest_size=16), "little")));
+    v = g.standard_normal(dim); v / np.linalg.norm(v), redrawing from g
+    while the norm is 0.  The seeding runs as one SeedSequence pass over
+    the new rows of a batch.  Rows already derived in this process come
+    from a bounded first-in first-out memo shared by all threads.
+    """
+    keys = [(p, dim) for p in payloads]
+    with _direction_lock:
+        found = [_direction_memo.get(k) for k in keys]
+    missing = [i for i, row in enumerate(found) if row is None]
+    if not missing:
+        return np.array(found).reshape(len(keys), dim)
+    new = list(dict.fromkeys(keys[i] for i in missing))
+    fresh = _draw_unit_rows([k[0] for k in new], dim)
+    keep = fresh[-_DIRECTION_MEMO_SIZE:].copy()  # holds no more rows alive than it keeps
+    keep.flags.writeable = False
+    with _direction_lock:
+        _direction_memo.update(zip(new[-_DIRECTION_MEMO_SIZE:], keep))
+        while len(_direction_memo) > _DIRECTION_MEMO_SIZE:
+            _direction_memo.popitem(last=False)
+    out = np.empty((len(keys), dim))
+    for i, row in enumerate(found):
+        if row is not None:
+            out[i] = row
+    if len(new) < len(missing):  # a payload repeated within the batch
+        where = {k: j for j, k in enumerate(new)}
+        fresh = fresh[[where[keys[i]] for i in missing]]
+    out[missing] = fresh
+    return out
+
+
 def _hashed_sign(payload: bytes) -> float:
     digest = hashlib.blake2b(payload, digest_size=8).digest()
     return 1.0 if digest[0] % 2 == 0 else -1.0
@@ -210,11 +341,14 @@ class ScoreOracle:
     small cells act like frozen white noise, one huge cell gives a single
     systematic direction per query time, the worst case of the error model.
 
-    When every row of a score batch falls in one error cell, the direction
-    is hashed once and broadcast; energy-difference rows whose two points
-    share a cell get a zero perturbation without being hashed.  Either way
-    the result is the same as hashing row by row.  Every score row is meant
-    to enter through score(), which is where calls are counted.
+    The directions of a score batch are derived in one batched pass, and
+    when every row falls in one error cell the direction is derived once
+    and broadcast; energy-difference rows whose two points share a cell get
+    a zero perturbation without being hashed.  Either way the result is the
+    same as hashing row by row.  A cell with a coordinate beyond int64
+    (|x / error_cell| >= 2^63, or non-finite) is keyed by its float64
+    bytes, so distinct far points keep distinct directions.  Every score
+    row is meant to enter through score(), which is where calls are counted.
     """
 
     base: IsotropicGaussianMixture
@@ -240,8 +374,38 @@ class ScoreOracle:
         """Exact log p_t(x); error injection applies to score/energy only."""
         return log_density(self.base, t, x)
 
-    def _cells(self, x: Array) -> np.ndarray:
-        return np.round(np.asarray(x, dtype=np.float64) / self.error_cell).astype(np.int64)
+    def _cells(self, x: Array) -> Array:
+        """round(x / error_cell) as float64, flattened to (n, d)."""
+        return np.round(np.asarray(x, dtype=np.float64).reshape(-1, self.dim) / self.error_cell)
+
+    @staticmethod
+    def _cell_key(cell: Array, prefix: bytes = b"") -> bytes:
+        """prefix + the int64 bytes of one cell.
+
+        A far cell (a coordinate of magnitude 2^63 or more, or non-finite)
+        has no int64 form; it gets prefix, a 0x01 tag byte and its float64
+        bytes instead, a key length no in-range cell has.
+        """
+        if np.abs(cell).max() < 2.0 ** 63:  # False for NaN
+            return prefix + cell.astype(np.int64).tobytes()
+        return prefix + b"\x01" + (cell + 0.0).tobytes()  # + 0.0 maps -0.0 to 0.0
+
+    @classmethod
+    def _cell_keys(cls, cells: Array, prefix: bytes = b"") -> list[bytes]:
+        """_cell_key of each row of cells, the in-range ones in one pass."""
+        n, width = cells.shape[0], len(prefix) + 8 * cells.shape[1]
+        far, ints = [], cells
+        if n and not (-2.0 ** 63 < cells.min() and cells.max() < 2.0 ** 63):  # NaN too
+            ok = np.abs(cells) < 2.0 ** 63
+            far = np.flatnonzero(~ok.all(axis=-1))
+            ints = np.where(ok, cells, 0.0)
+        raw = np.empty((n, width), dtype=np.uint8)
+        raw[:, :len(prefix)] = np.frombuffer(prefix, dtype=np.uint8)
+        raw[:, len(prefix):] = ints.astype(np.int64).view(np.uint8).reshape(n, width - len(prefix))
+        keys = raw.view(f"V{width}").ravel().tolist()
+        for i in far:
+            keys[i] = cls._cell_key(cells[i], prefix)
+        return keys
 
     def _key_prefix(self, t: float) -> bytes:
         tq = int(round(_time_value(t) / _TIME_QUANTUM))
@@ -250,13 +414,11 @@ class ScoreOracle:
     def _score_perturbation(self, t, x: Array) -> Array:
         cells = self._cells(x)
         prefix = self._key_prefix(t)
-        flat = cells.reshape(-1, cells.shape[-1])
-        if flat.shape[0] > 0 and (flat == flat[0]).all():
-            return self.score_error * _hashed_unit_direction(prefix + flat[0].tobytes(), self.dim)
-        out = np.empty((flat.shape[0], self.dim))
-        for i, row in enumerate(flat):
-            out[i] = _hashed_unit_direction(prefix + row.tobytes(), self.dim)
-        return self.score_error * out.reshape(cells.shape[:-1] + (self.dim,))
+        if cells.shape[0] > 0 and (cells == cells[0]).all():  # NaN rows never match
+            payload = self._cell_key(cells[0], prefix)
+            return self.score_error * _hashed_unit_directions([payload], self.dim)[0]
+        out = _hashed_unit_directions(self._cell_keys(cells, prefix), self.dim)
+        return self.score_error * out.reshape(np.shape(x)[:-1] + (self.dim,))
 
     def score(self, t, x, with_log_density: bool = False):
         """Score query s_(theta,t)(x), within score_error of the exact score.
@@ -290,19 +452,16 @@ class ScoreOracle:
             exact = log_p[0] - log_p[1]
         if self.energy_error == 0.0:
             return exact
-        ca = self._cells(z)
-        cb = self._cells(z2)
+        ca, cb = self._cells(z), self._cells(z2)
+        rows = np.flatnonzero((ca != cb).any(axis=-1))
+        keys_a, keys_b = self._cell_keys(ca[rows]), self._cell_keys(cb[rows])
         prefix = self._key_prefix(t)
-        fa = ca.reshape(-1, ca.shape[-1])
-        fb = cb.reshape(-1, cb.shape[-1])
-        delta = np.zeros(fa.shape[0])
-        for i in np.flatnonzero((fa != fb).any(axis=-1)):
-            a, b = fa[i].tobytes(), fb[i].tobytes()
-            if a < b:
-                delta[i] = _hashed_sign(prefix + a + b)
-            else:
-                delta[i] = -_hashed_sign(prefix + b + a)
-        delta = delta.reshape(ca.shape[:-1])
+        delta = np.zeros(ca.shape[0])
+        # Rows with a NaN cell compare unequal even when their keys match.
+        delta[rows] = [0.0 if a == b else
+                       _hashed_sign(prefix + a + b) if a < b else -_hashed_sign(prefix + b + a)
+                       for a, b in zip(keys_a, keys_b)]
+        delta = delta.reshape(np.shape(z)[:-1])
         out = exact + self.energy_error * delta
         return float(out) if np.ndim(out) == 0 else out
 

@@ -320,3 +320,10 @@ def test_preset_matches_golden_copy(preset_report):
         worst["second_moment"] = max(worst["second_moment"], gap)
     print(f"golden copy: PASS ({len(golden)} rows; largest gaps: "
           + ", ".join(f"{k} {v:.1e}" for k, v in worst.items()) + ")")
+
+
+def test_preset_reports_no_diverged_chains(preset_report):
+    """No unit of the preset trips the diverged-chain warning: its largest
+    second moment is about 4, far below DIVERGED_FACTOR times the target's."""
+    report, _ = preset_report
+    assert not [w for w in report.warnings if "diverged" in w], report.warnings

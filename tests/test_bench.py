@@ -1,6 +1,7 @@
 """Benchmark harness tests: allocation, config text format, runs, outputs."""
 
 import math
+import warnings
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field, replace
 
@@ -9,6 +10,7 @@ import pytest
 
 from rtkbench import bench, targets
 from rtkbench.bench import (
+    DIVERGED_FACTOR,
     METHODS,
     ExperimentConfig,
     allocate_nfe,
@@ -372,6 +374,32 @@ class TestRunExperiment:
         rep = run_experiment(small_config(methods=("ddpm",), nfe_budgets=(12,)))
         assert rep.warnings == ["ddpm@12: 2 of 60 chains ended non-finite"]
         assert 0.5 <= rep.rows[0].marginal_accuracy <= 1.0
+
+    # second_moment and mode_mass square the 1e200 row too, and say so.
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_huge_finite_chains_count_as_diverged(self, monkeypatch):
+        real = bench.ddpm_run
+
+        def diverging(*args, **kwargs):
+            state = real(*args, **kwargs)
+            state.positions[0] = 1e200  # ||x||^2 overflows to inf
+            state.positions[1] = 1e10
+            state.positions[2, 0] = np.nan
+            return state
+
+        monkeypatch.setattr(bench, "ddpm_run", diverging)
+        rep = run_experiment(small_config(methods=("ddpm",), nfe_budgets=(12,)))
+        assert rep.warnings == ["ddpm@12: 1 of 60 chains ended non-finite",
+                                "ddpm@12: 2 of 60 chains diverged"]
+
+    def test_diverged_chains_are_reported(self):
+        # ULA with tau_cap = 50 blows up to ||x||^2 ~ 1e122 but stays finite.
+        config = replace(paper_preset(), methods=("ula",), nfe_budgets=(50,), tau_cap=50)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = run_experiment(config)
+        assert rep.warnings == ["ula@50: 2000 of 2000 chains diverged"]
+        assert rep.rows[0].second_moment > DIVERGED_FACTOR * config.mixture.second_moment()
 
 
 @dataclass(frozen=True)

@@ -65,6 +65,16 @@ class TestRunCommand:
         assert "mixture.dim" in err
         assert "Traceback" not in err
 
+    def test_bad_mixture_value_is_named_in_one_line(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(SMALL_CONFIG.replace("mixture.dim = 2", "mixture.dim = abc"))
+        code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert err.count("\n") == 1
+        assert "bad value for mixture.dim: 'abc'" in err
+
 
 class TestPresetCommand:
     def test_written_file_reproduces_the_preset(self, tmp_path):
@@ -89,9 +99,10 @@ class TestSelftest:
     def test_all_checks_report_ok(self, capsys):
         assert main(["selftest"]) == 0
         out = capsys.readouterr().out
-        assert out.count("ok - ") == 5
+        assert out.count("ok - ") == 6
+        assert "ok - error-field" in out
         assert "FAIL" not in out
-        assert "all 5 checks passed" in out
+        assert "all 6 checks passed" in out
 
 
 def test_subcommand_required():

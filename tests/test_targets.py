@@ -1,10 +1,16 @@
 """Tests for the analytic mixture targets and the score oracle."""
 
+import hashlib
 import math
+import sys
+import threading
+import warnings
+from collections import OrderedDict
 
 import numpy as np
 import pytest
 
+from rtkbench import targets
 from rtkbench.targets import (
     DiffusionTime,
     IsotropicGaussianMixture,
@@ -325,6 +331,166 @@ class TestScoreOracle:
                      for i in range(40)]
         np.testing.assert_array_equal(signs, row_signs)
         assert np.all(signs[~moved] == 0) and np.all(np.abs(signs[moved]) == 1)
+
+
+def reference_direction(payload, dim):
+    """The per-row error-field derivation that the batched one reproduces."""
+    digest = hashlib.blake2b(payload, digest_size=16).digest()
+    g = np.random.Generator(np.random.PCG64(int.from_bytes(digest, "little")))
+    vec = g.standard_normal(dim)
+    norm = np.linalg.norm(vec)
+    while norm == 0.0:
+        vec = g.standard_normal(dim)
+        norm = np.linalg.norm(vec)
+    return vec / norm
+
+
+def cell_payloads(cells, prefix=b"\x07" * 16):
+    return [prefix + np.asarray(row, dtype=np.int64).tobytes() for row in cells]
+
+
+@pytest.fixture
+def cold_memo(monkeypatch):
+    memo = OrderedDict()
+    monkeypatch.setattr(targets, "_direction_memo", memo)
+    return memo
+
+
+class TestHashedDirections:
+    @pytest.mark.parametrize("dim", [2, 10, 32])
+    def test_bit_equal_to_per_row_seeding(self, dim, cold_memo):
+        rng = np.random.default_rng(dim)
+        near = rng.integers(-10**6, 10**6, size=(300, dim))
+        far = rng.integers(-2**62, 2**62, size=(50, dim))  # ~1e18 cells out
+        payloads = cell_payloads(np.vstack([near, far]))
+        want = np.array([reference_direction(p, dim) for p in payloads])
+        np.testing.assert_array_equal(targets._hashed_unit_directions(payloads, dim), want)
+
+    def test_oracle_rows_follow_the_reference(self, cold_memo):
+        oracle = ScoreOracle(preset_ring(), score_error=0.3, error_seed=5, error_cell=1e-6)
+        x = np.random.default_rng(4).standard_normal((100, 10))
+        cells = np.round(x / 1e-6).astype(np.int64)
+        want = [0.3 * reference_direction(p, 10)
+                for p in cell_payloads(cells, oracle._key_prefix(0.7))]
+        np.testing.assert_array_equal(oracle._score_perturbation(0.7, x), want)
+
+    def test_empty_and_single_row(self, cold_memo):
+        assert targets._hashed_unit_directions([], 10).shape == (0, 10)
+        payload = cell_payloads([[3] * 10])
+        got = targets._hashed_unit_directions(payload, 10)
+        assert got.shape == (1, 10)
+        np.testing.assert_array_equal(got[0], reference_direction(payload[0], 10))
+
+    def test_cold_and_warm_memo_agree(self, cold_memo):
+        payloads = cell_payloads(np.arange(40).reshape(20, 2))
+        want = np.array([reference_direction(p, 2) for p in payloads])
+        cold = targets._hashed_unit_directions(payloads, 2)
+        assert len(cold_memo) == 20
+        warm = targets._hashed_unit_directions(payloads[::-1] + payloads[:3], 2)
+        np.testing.assert_array_equal(cold, want)
+        np.testing.assert_array_equal(warm, np.vstack([want[::-1], want[:3]]))
+        warm[:] = 0.0  # the caller owns its copy; the memo is untouched
+        np.testing.assert_array_equal(targets._hashed_unit_directions(payloads, 2), want)
+        single = targets._hashed_unit_directions(payloads[:1], 2)
+        single[:] = 0.0
+        np.testing.assert_array_equal(targets._hashed_unit_directions(payloads[:1], 2), want[:1])
+
+    def test_memo_is_bounded(self, cold_memo, monkeypatch):
+        monkeypatch.setattr(targets, "_DIRECTION_MEMO_SIZE", 8)
+        payloads = cell_payloads(np.arange(60).reshape(30, 2))
+        for lo in (0, 5, 20):
+            got = targets._hashed_unit_directions(payloads[lo:lo + 10], 2)
+            np.testing.assert_array_equal(
+                got, [reference_direction(p, 2) for p in payloads[lo:lo + 10]])
+            assert len(cold_memo) <= 8
+        assert list(cold_memo) == [(p, 2) for p in payloads[22:30]]
+
+    def test_repeated_payloads_in_one_batch(self, cold_memo):
+        payloads = cell_payloads([[1, 2], [3, 4], [1, 2], [1, 2]])
+        got = targets._hashed_unit_directions(payloads, 2)
+        np.testing.assert_array_equal(got, [reference_direction(p, 2) for p in payloads])
+
+    @pytest.mark.parametrize("n", [0, 1, 12345, 2**32 - 1, 2**32, 2**64 + 5,
+                                   2**96 - 1, 2**96 + 3, 2**128 - 1])
+    def test_seed_state_matches_seed_sequence(self, n):
+        # SeedSequence(n) drops n's high zero words; zero padding must agree.
+        words = np.frombuffer(n.to_bytes(16, "little"), dtype="<u4").reshape(1, 4)
+        np.testing.assert_array_equal(
+            targets._seed_sequence_state(words)[0],
+            np.random.SeedSequence(n).generate_state(4, np.uint64))
+
+    def test_concurrent_batches_match_serial(self, cold_memo, monkeypatch):
+        # More threads than cores, frequent switches and a memo small enough
+        # to evict while other threads read it.
+        monkeypatch.setattr(targets, "_DIRECTION_MEMO_SIZE", 300)
+        payloads = cell_payloads(np.arange(3000).reshape(1500, 2))
+        batches = [payloads[i:i + 500] for i in range(0, 1000, 100)]
+        serial = [np.array([reference_direction(p, 2) for p in b]) for b in batches]
+        results = {}
+
+        def work(k):
+            for j in range(len(batches)):
+                results[k, j] = targets._hashed_unit_directions(batches[(j + k) % len(batches)], 2)
+
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert len(results) == 4 * len(batches)
+        for (k, j), got in results.items():
+            np.testing.assert_array_equal(got, serial[(j + k) % len(batches)])
+        assert len(cold_memo) <= 300
+
+
+class TestFarErrorCells:
+    def oracle(self, **kw):
+        return ScoreOracle(IsotropicGaussianMixture.standard_normal(3), error_seed=2,
+                           error_cell=1e-6, **kw)
+
+    def test_in_range_keys_keep_their_bytes(self):
+        oracle = self.oracle(score_error=1.0)
+        x = np.array([[0.25, -3.5, 1e6], [1.0, 2.0, -7e12]])
+        prefix = oracle._key_prefix(0.5)
+        keys = oracle._cell_keys(oracle._cells(x), prefix)
+        assert keys == cell_payloads(np.round(x / 1e-6).astype(np.int64), prefix)
+
+    def test_distinct_far_points_get_distinct_directions(self):
+        oracle = self.oracle(score_error=1.0)
+        x = np.array([[1e20, 0.0, 0.0], [2e20, 0.0, 0.0], [1e20, 0.0, 0.0],
+                      [np.nan, 0.0, 0.0], [-np.inf, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            noise = oracle._score_perturbation(0.5, x)
+            # one far cell or one NaN row: the single-cell path
+            single = [oracle._score_perturbation(0.5, x[[0, 2]]),
+                      oracle._score_perturbation(0.5, x[3])]
+        assert np.allclose(np.linalg.norm(noise, axis=1), 1.0)
+        np.testing.assert_array_equal(noise[0], noise[2])  # one cell, one direction
+        assert not np.allclose(noise[0], noise[1])
+        assert not np.allclose(noise[0], noise[3]) and not np.allclose(noise[3], noise[4])
+        np.testing.assert_array_equal(single[0], noise[0])  # broadcast over the batch
+        np.testing.assert_array_equal(single[1], noise[3])
+        # the in-range row is untouched by the far rows in its batch
+        np.testing.assert_array_equal(noise[5], oracle._score_perturbation(0.5, x[5]))
+
+    def test_far_energy_differences(self):
+        oracle = self.oracle(energy_error=0.5)
+        z = np.array([[1e20, 0.0, 0.0], [1e20, 0.0, 0.0], [np.nan, 0.0, 0.0]])
+        z2 = np.array([[2e20, 0.0, 0.0], [1e20, 0.0, 0.0], [np.nan, 0.0, 0.0]])
+        log_p = (np.zeros(3), np.zeros(3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = oracle.energy_difference(0.5, z, z2, log_p=log_p)
+            rev = oracle.energy_difference(0.5, z2, z, log_p=log_p)
+        assert abs(got[0]) == 0.5 and got[1] == 0.0 and got[2] == 0.0
+        np.testing.assert_array_equal(got, -rev)
 
 
 class TestEstimateSmoothness:
