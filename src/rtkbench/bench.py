@@ -97,6 +97,17 @@ class ExperimentConfig:
             raise ValueError(f"unknown schedule kind {self.schedule_kind!r}")
         if self.schedule_kind == "fixed" and not self.fixed_times:
             raise ValueError("fixed schedule needs transition times")
+        if not (0.0 < self.horizon < math.inf):
+            raise ValueError(f"experiment.horizon must be finite and positive, got {self.horizon}")
+        if self.schedule_kind == "fixed" and not (self.horizon > max(self.fixed_times)):
+            raise ValueError(f"experiment.horizon = {self.horizon} must exceed the last "
+                             f"schedule.times entry {max(self.fixed_times)}")
+        if self.reference_size < 1:
+            raise ValueError(f"experiment.reference_size must be >= 1, got {self.reference_size}")
+        if self.bins_per_dim < 1:
+            raise ValueError(f"experiment.bins_per_dim must be >= 1, got {self.bins_per_dim}")
+        if not (self.tau_cap > 0):
+            raise ValueError(f"steps.tau_cap must be positive, got {self.tau_cap}")
 
 
 @dataclass
@@ -296,6 +307,13 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
     for m in config.methods:
         if m not in METHODS:
             raise ValueError(f"unknown method {m!r}; expected one of {METHODS}")
+    text = os.environ.get("RTKBENCH_WORKERS", "").strip() or "1"
+    try:
+        workers = int(text)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ValueError(f"RTKBENCH_WORKERS must be a positive integer, got {text!r}")
     mix = config.mixture
     oracle = ScoreOracle(mix, score_error=config.score_error,
                          energy_error=config.energy_error,
@@ -315,7 +333,6 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
         return _run_unit(config, oracle, schedule, curvatures, reference,
                          method, budget, rng)
 
-    workers = int(os.environ.get("RTKBENCH_WORKERS", "1") or "1")
     if workers > 1 and len(units) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(job, units))

@@ -159,19 +159,27 @@ def conditional_histogram(samples: Array, cond_dim: int, low: float, high: float
 
 
 def mode_mass(samples: Array, mix: IsotropicGaussianMixture) -> Array:
-    """Fraction of samples nearest (Euclidean) to each component mean."""
+    """Fraction of samples nearest (Euclidean) to each component mean.
+
+    The nearest mean minimizes ||mu||^2 - 2 x.mu, so no sample is squared.
+    A row with a NaN or inf entry counts toward component 0.
+    """
     samples = np.atleast_2d(np.asarray(samples, dtype=np.float64))
-    diff = samples[:, None, :] - mix.means[None, :, :]
-    nearest = np.argmin((diff * diff).sum(axis=-1), axis=1)
+    means = mix.means
+    with np.errstate(over="ignore", invalid="ignore"):
+        dist = np.einsum("kd,kd->k", means, means) - samples @ (2.0 * means.T)
+    nearest = dist.argmin(axis=1)
+    nearest[~np.isfinite(dist[:, 0])] = 0
     return np.bincount(nearest, minlength=mix.n_components) / samples.shape[0]
 
 
 def second_moment(samples: Array) -> float:
-    """Mean of ||x||^2 over rows."""
+    """Mean of ||x||^2 over rows; inf, without a warning, when a square overflows."""
     samples = np.atleast_2d(np.asarray(samples, dtype=np.float64))
     if samples.shape[0] == 0:
         raise ValueError("second_moment needs at least one sample")
-    return float((samples * samples).sum(axis=1).mean())
+    with np.errstate(over="ignore"):
+        return float((samples * samples).sum(axis=1).mean())
 
 
 @dataclass(frozen=True)

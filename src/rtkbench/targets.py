@@ -17,7 +17,7 @@ import hashlib
 import math
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -25,6 +25,8 @@ import numpy as np
 Array = np.ndarray
 
 _TIME_QUANTUM = 1e-9  # time resolution used when hashing error-field queries
+_TIME_CONSTANTS_KEPT = 16  # query times per mixture whose kernel constants are kept
+_time_constants_lock = threading.Lock()
 
 
 def _readonly(a: Array) -> Array:
@@ -33,22 +35,8 @@ def _readonly(a: Array) -> Array:
     return a
 
 
-@dataclass(frozen=True)
-class DiffusionTime:
-    """A point on the diffusion clock, optionally tied to a horizon T."""
-
-    t: float
-    horizon: float = math.inf
-
-    def __post_init__(self):
-        if not (self.horizon > 0):
-            raise ValueError("horizon must be positive")
-        if not (0.0 <= self.t <= self.horizon):
-            raise ValueError(f"time {self.t} outside [0, {self.horizon}]")
-
-
 def _time_value(t) -> float:
-    t = t.t if isinstance(t, DiffusionTime) else float(t)
+    t = float(t)
     if not (t >= 0.0) or not math.isfinite(t):
         raise ValueError(f"diffusion time must be finite and >= 0, got {t}")
     return t
@@ -61,6 +49,8 @@ class IsotropicGaussianMixture:
     weights: Array    # (K,)
     means: Array      # (K, d)
     variances: Array  # (K,)
+    _constants: OrderedDict = field(default_factory=OrderedDict, init=False,
+                                    repr=False, compare=False)
 
     def __post_init__(self):
         w = _readonly(self.weights)
@@ -105,6 +95,28 @@ class IsotropicGaussianMixture:
         return cls(np.full(n_components, 1.0 / n_components), means,
                    np.full(n_components, variance))
 
+    def _time_constants(self, t: float) -> tuple[Array, ...]:
+        """(A, bias, 0.5 / v, 1 / v) at time t, memoized first-in first-out.
+
+        log w_k N(x; mu_k, v_k I) = A_k x + bias_k - ||x||^2 / (2 v_k) for the
+        diffused means mu and variances v, so A = mu / v and bias holds the rest.
+        """
+        found = self._constants.get(t)
+        if found is not None:
+            return found
+        decay = math.exp(-t)
+        means = self.means * decay                                    # (K, d)
+        var = self.variances * decay * decay + (1.0 - decay * decay)  # (K,)
+        half = 0.5 / var
+        bias = (np.log(self.weights) - 0.5 * self.dim * np.log(2.0 * np.pi * var)
+                - half * np.einsum("kd,kd->k", means, means))
+        found = tuple(_readonly(c) for c in (means / var[:, None], bias, half, 1.0 / var))
+        with _time_constants_lock:
+            self._constants[t] = found
+            while len(self._constants) > _TIME_CONSTANTS_KEPT:
+                self._constants.popitem(last=False)
+        return found
+
     def second_moment(self) -> float:
         """E ||x||^2 = sum_k w_k (||mu_k||^2 + d s2_k)."""
         return float(np.sum(self.weights * ((self.means ** 2).sum(axis=1)
@@ -122,34 +134,38 @@ def forward_marginal(mix: IsotropicGaussianMixture, t) -> IsotropicGaussianMixtu
     )
 
 
-def _component_logpdfs(mix: IsotropicGaussianMixture, t, x: Array):
-    """Per-component log w_k + log N(x; mu_k(t), v_k(t) I), shape (..., K).
+def _mixture_pass(mix: IsotropicGaussianMixture, t, x, with_score: bool):
+    """(score or None, log p_t(x)) at points x of shape (..., d), in one pass.
 
-    Squared distances come in GEMM form, ||x||^2 - 2 x.mu^T + ||mu||^2
-    clamped at 0, so no (..., K, d) difference tensor is built.  Also
-    returns the diffused means (K, d) and variances (K,).
+    The log-component matrix is (K, n), so the reductions over components
+    run elementwise across contiguous rows.
     """
-    t = _time_value(t)
-    decay = math.exp(-t)
     x = np.asarray(x, dtype=np.float64)
     d = mix.dim
     if x.shape[-1] != d:
         raise ValueError(f"points have dim {x.shape[-1]}, mixture has dim {d}")
-    means = mix.means * decay                                   # (K, d)
-    var = mix.variances * decay * decay + (1.0 - decay * decay)  # (K,)
-    sq = (x * x).sum(axis=-1)[..., None] - 2.0 * (x @ means.T)
-    sq += (means * means).sum(axis=-1)
-    np.maximum(sq, 0.0, out=sq)
-    logw = np.log(mix.weights)
-    return logw - 0.5 * d * np.log(2.0 * np.pi * var) - sq / (2.0 * var), means, var
+    a, bias, half, inv = mix._time_constants(_time_value(t))
+    flat = x.reshape(-1, d)
+    comp = a @ flat.T                                             # (K, n)
+    comp += bias[:, None]
+    comp -= half[:, None] * np.einsum("ij,ij->i", flat, flat)
+    top = comp.max(axis=0)
+    comp -= top
+    np.exp(comp, out=comp)
+    total = comp.sum(axis=0)
+    logp = top + np.log(total)
+    logp = float(logp[0]) if x.ndim == 1 else logp.reshape(x.shape[:-1])
+    if not with_score:
+        return None, logp
+    out = comp.T @ a  # sum_k resp_k (mu_k - x) / v_k with resp = comp / total
+    out -= (inv @ comp)[:, None] * flat
+    out /= total[:, None]
+    return out.reshape(x.shape), logp
 
 
 def log_density(mix: IsotropicGaussianMixture, t, x) -> Array | float:
-    """log p_t(x) for x of shape (d,) or (n, d)."""
-    comp, _, _ = _component_logpdfs(mix, t, x)
-    top = comp.max(axis=-1)
-    out = top + np.log(np.exp(comp - top[..., None]).sum(axis=-1))
-    return float(out) if out.ndim == 0 else out
+    """log p_t(x) for x of shape (..., d)."""
+    return _mixture_pass(mix, t, x, with_score=False)[1]
 
 
 def score(mix: IsotropicGaussianMixture, t, x, with_log_density: bool = False):
@@ -158,18 +174,8 @@ def score(mix: IsotropicGaussianMixture, t, x, with_log_density: bool = False):
     With with_log_density the same pass also returns log p_t(x), bit-equal
     to log_density(mix, t, x), as a (score, log p) pair.
     """
-    x = np.asarray(x, dtype=np.float64)
-    comp, means, var = _component_logpdfs(mix, t, x)
-    top = comp.max(axis=-1)
-    resp = np.exp(comp - top[..., None])
-    total = resp.sum(axis=-1)
-    resp /= total[..., None]                                     # (..., K)
-    w = resp / var
-    out = w @ means - w.sum(axis=-1)[..., None] * x
-    if not with_log_density:
-        return out
-    logp = top + np.log(total)
-    return out, (float(logp) if logp.ndim == 0 else logp)
+    out, logp = _mixture_pass(mix, t, x, with_score=True)
+    return (out, logp) if with_log_density else out
 
 
 def sample_base(mix: IsotropicGaussianMixture, n: int, rng: np.random.Generator) -> Array:
@@ -481,17 +487,11 @@ class SmoothnessEstimate:
 def hessian_log_density(mix: IsotropicGaussianMixture, t, x: Array,
                         step: float = 1e-4) -> Array:
     """Central-difference Hessian of log p_t at points x, shape (..., d, d)."""
-    x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    pts = np.atleast_2d(x)
-    n, d = pts.shape
-    eye = np.eye(d)
-    shifted = np.concatenate([pts[:, None, :] + step * eye,
-                              pts[:, None, :] - step * eye], axis=1)  # (n, 2d, d)
-    s = score(mix, t, shifted.reshape(n * 2 * d, d)).reshape(n, 2, d, d)
-    hess = (s[:, 0] - s[:, 1]) / (2.0 * step)       # rows: d/dx_j of score
-    hess = 0.5 * (hess + np.swapaxes(hess, 1, 2))   # symmetrize
-    return hess[0] if single else hess
+    x = np.asarray(x, dtype=np.float64)[..., None, :]
+    shift = step * np.eye(x.shape[-1])
+    s = score(mix, t, np.stack([x + shift, x - shift]))  # (2, ..., d, d)
+    hess = (s[0] - s[1]) / (2.0 * step)                 # rows: d/dx_j of score
+    return 0.5 * (hess + np.swapaxes(hess, -1, -2))     # symmetrize
 
 
 def estimate_smoothness(oracle: ScoreOracle | IsotropicGaussianMixture,

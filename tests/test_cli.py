@@ -76,6 +76,52 @@ class TestRunCommand:
         assert "bad value for mixture.dim: 'abc'" in err
 
 
+def _with_line(line: str) -> str:
+    """SMALL_CONFIG with line in place of its key's line, or appended."""
+    key = line.split(" = ")[0]
+    kept = [raw for raw in SMALL_CONFIG.splitlines() if not raw.startswith(key + " ")]
+    return "\n".join(kept + [line]) + "\n"
+
+
+class TestBadExperimentValues:
+    def run_one_line_error(self, tmp_path, capsys, text: str) -> str:
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(text)
+        code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
+        return err
+
+    def test_horizon_at_the_last_schedule_time(self, tmp_path, capsys):
+        # Used to be a ZeroDivisionError traceback from segment_curvature.
+        err = self.run_one_line_error(tmp_path, capsys, _with_line("experiment.horizon = 1.2"))
+        assert "experiment.horizon = 1.2 must exceed the last schedule.times entry 1.2" in err
+
+    def test_nan_horizon(self, tmp_path, capsys):
+        err = self.run_one_line_error(tmp_path, capsys, _with_line("experiment.horizon = nan"))
+        assert "experiment.horizon must be finite and positive" in err
+
+    def test_zero_bins_per_dim(self, tmp_path, capsys):
+        err = self.run_one_line_error(tmp_path, capsys, _with_line("experiment.bins_per_dim = 0"))
+        assert "experiment.bins_per_dim must be >= 1, got 0" in err
+
+    def test_zero_reference_size(self, tmp_path, capsys):
+        err = self.run_one_line_error(tmp_path, capsys, _with_line("experiment.reference_size = 0"))
+        assert "experiment.reference_size must be >= 1, got 0" in err
+
+    def test_negative_tau_cap(self, tmp_path, capsys):
+        err = self.run_one_line_error(tmp_path, capsys, _with_line("steps.tau_cap = -1"))
+        assert "steps.tau_cap must be positive, got -1" in err
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-3"])
+    def test_bad_worker_count(self, tmp_path, capsys, monkeypatch, value):
+        monkeypatch.setenv("RTKBENCH_WORKERS", value)
+        err = self.run_one_line_error(tmp_path, capsys, SMALL_CONFIG)
+        assert f"RTKBENCH_WORKERS must be a positive integer, got '{value}'" in err
+
+
 class TestPresetCommand:
     def test_written_file_reproduces_the_preset(self, tmp_path):
         path = tmp_path / "mog.cfg"

@@ -1,6 +1,7 @@
 """Tests for histogram TV, marginal accuracy, and the mode diagnostics."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -200,6 +201,25 @@ class TestModeMass:
         assert frac[3] == 1.0
         assert frac.sum() == 1.0
 
+    def test_matches_the_difference_tensor_reference(self):
+        mix = IsotropicGaussianMixture.ring(12, 10)
+        rng = np.random.default_rng(16)
+        x = np.vstack([sample_base(mix, 300, rng), rng.normal(scale=2.0, size=(300, 10))])
+        diff = x[:, None, :] - mix.means[None, :, :]
+        nearest = np.argmin((diff * diff).sum(axis=-1), axis=1)
+        want = np.bincount(nearest, minlength=12) / x.shape[0]
+        np.testing.assert_array_equal(mode_mass(x, mix), want)
+
+    def test_non_finite_and_huge_rows(self):
+        mix = IsotropicGaussianMixture.ring(12, 10)
+        x = np.tile(mix.means[3], (5, 1))
+        x[0], x[1, 4], x[2, 0] = np.nan, np.inf, -np.inf  # count toward component 0
+        x[3] = 1e200 * mix.means[6]  # finite: nearest mean is still the sixth
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            frac = mode_mass(x, mix)
+        assert frac[0] == 0.6 and frac[6] == 0.2 and frac[3] == 0.2
+
 
 class TestSecondMoment:
     def test_zeros(self):
@@ -220,6 +240,13 @@ class TestSecondMoment:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             second_moment(np.zeros((0, 3)))
+
+    def test_overflow_is_inf_without_a_warning(self):
+        x = np.zeros((4, 3))
+        x[0, 0] = 1e200
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert second_moment(x) == math.inf
 
 
 class TestMetricsRow:

@@ -12,7 +12,6 @@ import pytest
 
 from rtkbench import targets
 from rtkbench.targets import (
-    DiffusionTime,
     IsotropicGaussianMixture,
     ScoreOracle,
     estimate_smoothness,
@@ -65,13 +64,6 @@ class TestMixtureConstruction:
         np.testing.assert_allclose(mix.variances, 0.007)
         # E||x||^2 = 1 + 10 * 0.007
         assert mix.second_moment() == pytest.approx(1.07, abs=1e-12)
-
-    def test_diffusion_time_validation(self):
-        DiffusionTime(0.3, 6.0)
-        with pytest.raises(ValueError):
-            DiffusionTime(-0.1, 6.0)
-        with pytest.raises(ValueError):
-            DiffusionTime(7.0, 6.0)
 
 
 class TestForwardMarginal:
@@ -217,6 +209,103 @@ class TestScore:
         np.testing.assert_array_equal(logp, log_density(mix, 0.7, x))
         s1, logp1 = score(mix, 0.7, x[0], with_log_density=True)
         assert s1.shape == (10,) and logp1 == log_density(mix, 0.7, x[0])
+
+
+class TestKernel:
+    def test_batch_shapes_give_the_same_rows(self):
+        mix = preset_ring()
+        x = np.random.default_rng(21).standard_normal((6, 10))
+        s, logp = score(mix, 0.7, x, with_log_density=True)
+        s3, logp3 = score(mix, 0.7, x.reshape(2, 3, 10), with_log_density=True)
+        assert s3.shape == (2, 3, 10) and logp3.shape == (2, 3)
+        np.testing.assert_array_equal(s3.reshape(6, 10), s)
+        np.testing.assert_array_equal(logp3.ravel(), logp)
+        np.testing.assert_array_equal(log_density(mix, 0.7, x.reshape(3, 2, 10)).ravel(), logp)
+        for row, s_row, logp_row in zip(x, s, logp):
+            got, got_logp = score(mix, 0.7, row, with_log_density=True)
+            assert got.shape == (10,) and isinstance(got_logp, float)
+            # one row may take a matrix-vector BLAS path: equal to rounding
+            np.testing.assert_allclose(got, s_row, rtol=1e-13, atol=1e-12)
+            assert got_logp == pytest.approx(logp_row, rel=1e-14, abs=1e-13)
+
+    def test_standard_normal_closed_form(self):
+        mix = IsotropicGaussianMixture.standard_normal(4)
+        x = np.random.default_rng(22).standard_normal((50, 4)) * 3.0
+        x[0] = 1e3
+        want = -0.5 * (x * x).sum(axis=1) - 2.0 * math.log(2.0 * math.pi)
+        for t in (0.0, 0.8):  # N(0, I) is the stationary law
+            s, logp = score(mix, t, x, with_log_density=True)
+            np.testing.assert_allclose(s, -x, rtol=1e-15, atol=1e-15)
+            np.testing.assert_allclose(logp, want, rtol=1e-15, atol=1e-14)
+
+    def test_far_points_stay_finite(self):
+        mix = preset_ring()
+        x = np.zeros((3, 10))
+        x[0, 0], x[1] = 1e3, -1e3
+        x[2, 2] = 1e3
+        s, logp = score(mix, 0.0, x, with_log_density=True)
+        assert np.isfinite(s).all() and np.isfinite(logp).all()
+        # The first row is far closer to mean 0 = (1, 0, ...) than to any other.
+        np.testing.assert_allclose(s[0], (mix.means[0] - x[0]) / 0.007, rtol=1e-9)
+        want = math.log(1 / 12) - 5.0 * math.log(2 * math.pi * 0.007) - 999.0 ** 2 / 0.014
+        assert logp[0] == pytest.approx(want, rel=1e-12)
+
+    def test_mixtures_never_share_time_constants(self):
+        x = np.random.default_rng(23).standard_normal((20, 10))
+        ring = preset_ring()
+        variances = [np.full(12, v) for v in (0.007, 0.02, 0.05, 0.1)]
+        for var in variances:
+            mix = None  # frees the last mixture, and its id, for the next one
+            mix = IsotropicGaussianMixture(ring.weights, ring.means, var)
+            got = score(mix, 0.3, x)
+            decay = math.exp(-0.3)
+            v = var * decay ** 2 + 1.0 - decay ** 2
+            diff = x[:, None, :] - ring.means * decay
+            comp = -np.einsum("nkd,nkd->nk", diff, diff) / (2 * v) - 5.0 * np.log(v)
+            resp = np.exp(comp - comp.max(axis=1, keepdims=True))
+            resp /= resp.sum(axis=1, keepdims=True)
+            np.testing.assert_allclose(got, -np.einsum("nk,nkd->nd", resp / v, diff),
+                                       rtol=1e-10, atol=1e-10)
+        a, b = preset_ring(), IsotropicGaussianMixture.ring(12, 10, variance=0.05)
+        assert not np.array_equal(score(a, 0.3, x), score(b, 0.3, x))
+        assert a._constants is not b._constants
+
+    def test_time_constants_stay_bounded(self):
+        mix = IsotropicGaussianMixture.ring(3, 2)
+        x = np.ones((4, 2))
+        for t in np.linspace(0.0, 5.0, 10_000):
+            score(mix, t, x)
+        assert len(mix._constants) <= targets._TIME_CONSTANTS_KEPT
+        assert 5.0 in mix._constants  # first in, first out: the latest time is kept
+
+    def test_threads_sharing_a_mixture(self, monkeypatch):
+        monkeypatch.setattr(targets, "_TIME_CONSTANTS_KEPT", 3)
+        mix = preset_ring()
+        x = np.random.default_rng(24).standard_normal((8, 10))
+        times = np.linspace(0.0, 2.0, 40)
+        serial = [score(IsotropicGaussianMixture(mix.weights, mix.means, mix.variances), t, x)
+                  for t in times]
+        results = {}
+
+        def work(k):
+            for j in range(len(times)):
+                results[k, j] = score(mix, times[(j + k) % len(times)], x)
+
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert len(results) == 4 * len(times)
+        for (k, j), got in results.items():
+            np.testing.assert_array_equal(got, serial[(j + k) % len(times)])
+        assert len(mix._constants) <= 3
 
 
 class TestSampleBase:
