@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .metrics import MetricsRow, marginal_accuracy, mode_mass, second_moment
+from .metrics import MetricsRow, SortedReference, marginal_accuracy, mode_mass, second_moment
 from .samplers import (
     MalaSpec,
     UlaSpec,
@@ -108,6 +108,26 @@ class ExperimentConfig:
             raise ValueError(f"experiment.bins_per_dim must be >= 1, got {self.bins_per_dim}")
         if not (self.tau_cap > 0):
             raise ValueError(f"steps.tau_cap must be positive, got {self.tau_cap}")
+        if not all(t >= 0 for t in self.fixed_times):
+            raise ValueError(f"schedule.times must be >= 0, got {self.fixed_times}")
+        if not all(b > a for a, b in zip(self.fixed_times, self.fixed_times[1:])):
+            raise ValueError(f"schedule.times must be strictly ascending, got {self.fixed_times}")
+        if not (0.0 < self.eps < 1.0):
+            raise ValueError(f"schedule.eps must lie in (0, 1), got {self.eps}")
+        for key, value in (("oracle.score_error", self.score_error),
+                           ("oracle.energy_error", self.energy_error)):
+            if not (value >= 0):
+                raise ValueError(f"{key} must be >= 0, got {value}")
+        for key, value in (("oracle.error_cell", self.error_cell),
+                           ("steps.tau_multiplier", self.tau_multiplier),
+                           ("steps.uld_tau_scale", self.uld_tau_scale),
+                           ("steps.uld_gamma_scale", self.uld_gamma_scale)):
+            if not (value > 0):
+                raise ValueError(f"{key} must be positive, got {value}")
+        if self.taylor_order < 1:
+            raise ValueError(f"steps.taylor_order must be >= 1, got {self.taylor_order}")
+        if self.taylor_dt is not None and not (self.taylor_dt > 0):
+            raise ValueError(f"steps.taylor_dt must be positive, got {self.taylor_dt}")
 
 
 @dataclass
@@ -254,7 +274,7 @@ def build_specs(config: ExperimentConfig, schedule, method: str, budget: int,
 
 
 def _run_unit(config: ExperimentConfig, oracle: ScoreOracle, schedule,
-              curvatures, reference: Array, method: str, budget: int,
+              curvatures, reference: SortedReference, method: str, budget: int,
               unit_rng: np.random.Generator):
     start = time.perf_counter()
     if method == "ddpm":
@@ -291,6 +311,8 @@ def _run_unit(config: ExperimentConfig, oracle: ScoreOracle, schedule,
         warn.append(f"{method}@{budget}: {far} of {x.shape[0]} chains diverged")
     if clamps:
         warn.append(f"{method}@{budget}: clamped ULD noise covariance {clamps}x")
+    if row.nfe < 1:
+        warn.append(f"{method}@{budget}: realized 0 NFE; left out of the log-scale plot")
     if int(state.nfe.max()) > budget:
         warn.append(f"{method}@{budget}: realized NFE {int(state.nfe.max())} over budget")
     return row, x, warn
@@ -320,8 +342,10 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
                          error_seed=config.error_seed,
                          error_cell=config.error_cell)
     schedule, curvatures = build_schedule(config)
-    reference = sample_base(mix, config.reference_size,
-                            np.random.default_rng(np.random.SeedSequence(config.metric_seed)))
+    # Sorted on first use, inside the first unit's marginal_accuracy call.
+    reference = SortedReference(sample_base(
+        mix, config.reference_size,
+        np.random.default_rng(np.random.SeedSequence(config.metric_seed))))
     units = [(mi, method, bi, budget)
              for mi, method in enumerate(config.methods)
              for bi, budget in enumerate(config.nfe_budgets)]
@@ -585,10 +609,15 @@ _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 70, 160, 30, 55
 
 
 def emit_plot(report: RunReport, path: str | Path) -> Path:
-    """Hand-rolled SVG: marginal accuracy vs NFE, one polyline per method."""
+    """Hand-rolled SVG: marginal accuracy vs NFE, one polyline per method.
+
+    Rows with no realized NFE have no place on the log-scale axis and are
+    left out (_run_unit warns about each).
+    """
     series: dict[str, list[tuple[int, float]]] = {}
     for row in report.rows:
-        series.setdefault(row.method, []).append((row.nfe, row.marginal_accuracy))
+        if row.nfe >= 1:
+            series.setdefault(row.method, []).append((row.nfe, row.marginal_accuracy))
     for pts in series.values():
         pts.sort()
     xs = [x for pts in series.values() for x, _ in pts]

@@ -7,6 +7,7 @@ merged into TV as one extra virtual bin, never silently dropped.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,10 +17,9 @@ from .targets import IsotropicGaussianMixture
 Array = np.ndarray
 
 __all__ = [
-    "ConditionalHistogram",
     "Histogram1D",
     "MetricsRow",
-    "conditional_histogram",
+    "SortedReference",
     "histogram_tv",
     "marginal_accuracy",
     "mode_mass",
@@ -58,23 +58,41 @@ class Histogram1D:
 
     @classmethod
     def from_samples(cls, x: Array, edges: Array) -> "Histogram1D":
-        x = np.asarray(x, dtype=np.float64).ravel()
-        edges = np.asarray(edges, dtype=np.float64)
-        n = x.size
+        return cls._from_sorted(np.sort(np.asarray(x, dtype=np.float64), axis=None),
+                                np.asarray(edges, dtype=np.float64))
+
+    @classmethod
+    def _from_sorted(cls, col: Array, edges: Array) -> "Histogram1D":
+        n = col.size
         if n == 0:
             return cls(edges, np.zeros(edges.size - 1), 0.0, 0)
-        counts, _ = np.histogram(x, bins=edges)
-        mass = counts / n
-        return cls(edges, mass, float((n - counts.sum()) / n), n)
+        # np.histogram's explicit-edges counts, by its own binary search on
+        # sorted data: the last bin holds its right edge, NaN and inf fall
+        # outside every bin.  A strided column is searched without a copy.
+        counts = np.diff(np.concatenate([col.searchsorted(edges[:-1], "left"),
+                                         col.searchsorted(edges[-1:], "right")]))
+        return cls(edges, counts / n, float((n - counts.sum()) / n), n)
+
+    def tv(self, other: "Histogram1D") -> float:
+        """0.5 sum |mass - other.mass| + 0.5 |oor - other.oor|, in [0, 1]."""
+        return float(0.5 * np.abs(self.mass - other.mass).sum()
+                     + 0.5 * abs(self.out_of_range - other.out_of_range))
 
 
-def _finite_range(x: Array) -> tuple[float, float]:
-    """(min, max) over the finite entries; (inf, -inf) when there are none."""
-    lo, hi = np.min(x, initial=np.inf), np.max(x, initial=-np.inf)
-    if np.isfinite(lo) and np.isfinite(hi):  # no NaN or inf: no copy needed
-        return lo, hi
-    finite = x[np.isfinite(x)]
-    return np.min(finite, initial=np.inf), np.max(finite, initial=-np.inf)
+def _finite_range(col: Array) -> tuple[float, float]:
+    """(min, max) over the finite entries of a sorted column; (inf, -inf) if none."""
+    i, j = col.searchsorted(-np.inf, "right"), col.searchsorted(np.inf, "left")
+    return (col[i], col[j - 1]) if j > i else (np.inf, -np.inf)
+
+
+def _uniform_edges(lo: float, hi: float, bins: int) -> Array:
+    if bins < 1:
+        raise ValueError("need at least one bin")
+    if not (hi >= lo):  # no finite entry on either side
+        lo = hi = 0.0
+    if not (hi > lo):
+        lo, hi = lo - 0.5, hi + 0.5
+    return np.linspace(lo, hi, bins + 1)
 
 
 def pooled_edges(a: Array, b: Array, bins: int) -> Array:
@@ -83,79 +101,60 @@ def pooled_edges(a: Array, b: Array, bins: int) -> Array:
     NaN and inf entries are left out of the range, so they fall in a
     histogram's out_of_range mass.
     """
-    if bins < 1:
-        raise ValueError("need at least one bin")
-    (lo_a, hi_a), (lo_b, hi_b) = _finite_range(np.asarray(a)), _finite_range(np.asarray(b))
-    lo, hi = min(lo_a, lo_b), max(hi_a, hi_b)
-    if not (hi >= lo):  # no finite entry on either side
-        lo = hi = 0.0
-    if not (hi > lo):
-        lo, hi = lo - 0.5, hi + 0.5
-    return np.linspace(lo, hi, bins + 1)
+    (lo_a, hi_a), (lo_b, hi_b) = (_finite_range(np.sort(np.asarray(x), axis=None))
+                                  for x in (a, b))
+    return _uniform_edges(min(lo_a, lo_b), max(hi_a, hi_b), bins)
 
 
 def histogram_tv(a: Array, b: Array, edges: Array) -> float:
-    """Total variation between two samples binned on shared edges.
-
-    0.5 sum |mass_a - mass_b| + 0.5 |oor_a - oor_b|, in [0, 1].
-    """
-    a = np.asarray(a, dtype=np.float64).ravel()
-    b = np.asarray(b, dtype=np.float64).ravel()
-    if a.size == 0 or b.size == 0:
+    """Total variation (Histogram1D.tv) of two samples binned on shared edges."""
+    if np.size(a) == 0 or np.size(b) == 0:
         raise ValueError("histogram_tv needs nonempty samples on both sides")
-    ha = Histogram1D.from_samples(a, edges)
-    hb = Histogram1D.from_samples(b, edges)
-    return float(0.5 * np.abs(ha.mass - hb.mass).sum()
-                 + 0.5 * abs(ha.out_of_range - hb.out_of_range))
+    return Histogram1D.from_samples(a, edges).tv(Histogram1D.from_samples(b, edges))
 
 
-def marginal_accuracy(samples: Array, reference: Array, bins_per_dim: int = 100) -> float:
-    """1 - 0.5 * (mean over dimensions of per-dimension histogram TV)."""
-    samples = np.atleast_2d(np.asarray(samples, dtype=np.float64))
-    reference = np.atleast_2d(np.asarray(reference, dtype=np.float64))
-    if samples.shape[1] != reference.shape[1]:
+class SortedReference:
+    """A reference sample, (n, d), that owns its array and sorts it once.
+
+    The first metric call sorts the columns in place (no copy) under a lock,
+    so threads may share one instance; the array is then read-only.
+    """
+
+    def __init__(self, samples: Array):
+        self._data = np.atleast_2d(np.asarray(samples, dtype=np.float64))
+        self._ranges: list[tuple[float, float]] | None = None
+        self._lock = threading.Lock()
+
+    def sorted_columns(self) -> tuple[Array, list[tuple[float, float]]]:
+        """The column-sorted (n, d) array and each column's finite (min, max)."""
+        with self._lock:
+            if self._ranges is None:
+                self._data.sort(axis=0)
+                self._data.setflags(write=False)
+                self._ranges = [_finite_range(col) for col in self._data.T]
+        return self._data, self._ranges
+
+
+def marginal_accuracy(samples: Array, reference: SortedReference | Array,
+                      bins_per_dim: int = 100) -> float:
+    """1 - 0.5 * (mean over dimensions of per-dimension histogram TV).
+
+    Each dimension is binned on the pooled_edges of both columns.  A plain
+    reference array is copied, never changed.
+    """
+    if not isinstance(reference, SortedReference):
+        reference = SortedReference(np.array(reference, dtype=np.float64))
+    ref, ref_ranges = reference.sorted_columns()
+    samples = np.sort(np.atleast_2d(np.asarray(samples, dtype=np.float64)), axis=0)
+    if samples.shape[1] != ref.shape[1]:
         raise ValueError("samples and reference dimensions differ")
     tvs = []
-    for j in range(samples.shape[1]):
-        edges = pooled_edges(samples[:, j], reference[:, j], bins_per_dim)
-        tvs.append(histogram_tv(samples[:, j], reference[:, j], edges))
+    for col, ref_col, (lo_r, hi_r) in zip(samples.T, ref.T, ref_ranges):
+        lo_s, hi_s = _finite_range(col)
+        edges = _uniform_edges(min(lo_s, lo_r), max(hi_s, hi_r), bins_per_dim)
+        tvs.append(Histogram1D._from_sorted(col, edges)
+                   .tv(Histogram1D._from_sorted(ref_col, edges)))
     return float(1.0 - 0.5 * np.mean(tvs))
-
-
-@dataclass(frozen=True)
-class ConditionalHistogram:
-    """Histogram of one coordinate restricted by a window on another."""
-
-    histogram: Histogram1D
-    retained_fraction: float
-
-    @property
-    def empty(self) -> bool:
-        return self.histogram.empty
-
-
-def conditional_histogram(samples: Array, cond_dim: int, low: float, high: float,
-                          target_dim: int, bins: int = 100,
-                          edges: Array | None = None) -> ConditionalHistogram:
-    """Histogram of samples[:, target_dim] where samples[:, cond_dim] in (low, high).
-
-    The window is open on both sides.  An empty selection yields a flagged
-    empty histogram rather than an error.
-    """
-    if not (low < high):
-        raise ValueError("low must be below high")
-    samples = np.atleast_2d(np.asarray(samples, dtype=np.float64))
-    col = samples[:, cond_dim]
-    keep = (col > low) & (col < high)
-    kept = samples[keep, target_dim]
-    retained = kept.size / samples.shape[0] if samples.shape[0] else 0.0
-    if kept.size == 0:
-        hist = Histogram1D(np.array([0.0, 1.0]) if edges is None else edges,
-                           np.zeros(1 if edges is None else len(edges) - 1), 0.0, 0)
-        return ConditionalHistogram(hist, retained)
-    if edges is None:
-        edges = pooled_edges(kept, kept, bins)
-    return ConditionalHistogram(Histogram1D.from_samples(kept, edges), retained)
 
 
 def mode_mass(samples: Array, mix: IsotropicGaussianMixture) -> Array:

@@ -183,8 +183,10 @@ def sample_base(mix: IsotropicGaussianMixture, n: int, rng: np.random.Generator)
     if n < 0:
         raise ValueError("sample count must be >= 0")
     idx = rng.choice(mix.n_components, size=n, p=mix.weights)
-    noise = rng.standard_normal((n, mix.dim))
-    return mix.means[idx] + np.sqrt(mix.variances[idx])[:, None] * noise
+    out = rng.standard_normal((n, mix.dim))
+    out *= np.sqrt(mix.variances[idx])[:, None]  # means[idx] is the one (n, d) temporary
+    out += mix.means[idx]
+    return out
 
 
 # SeedSequence's hashing constants (numpy/random/bit_generator.pyx) and

@@ -65,6 +65,21 @@ class TestRunCommand:
         assert "mixture.dim" in err
         assert "Traceback" not in err
 
+    def test_zero_nfe_rows_are_left_out_of_the_plot(self, tmp_path, capsys):
+        # With two segments, budget 2 goes to MALA's initial gradients: 0 NFE.
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(SMALL_CONFIG.replace("ddpm,mala", "mala").replace("12,24", "2,24"))
+        out = tmp_path / "o"
+        code = main(["run", "--config", str(cfg), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 0
+        assert err.splitlines() == [
+            "warning: mala@2: realized 0 NFE; left out of the log-scale plot"]
+        csv_text = (out / "results.csv").read_text()
+        assert [r.split(",")[:2] for r in csv_text.splitlines()[1:]] == [["mala", "0"], ["mala", "24"]]
+        svg = (out / "accuracy.svg").read_text()
+        assert svg.count("<circle") == 1
+
     def test_bad_mixture_value_is_named_in_one_line(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(SMALL_CONFIG.replace("mixture.dim = 2", "mixture.dim = abc"))
@@ -114,6 +129,23 @@ class TestBadExperimentValues:
     def test_negative_tau_cap(self, tmp_path, capsys):
         err = self.run_one_line_error(tmp_path, capsys, _with_line("steps.tau_cap = -1"))
         assert "steps.tau_cap must be positive, got -1" in err
+
+    @pytest.mark.parametrize("line, message", [
+        ("steps.tau_multiplier = 0", "steps.tau_multiplier must be positive, got 0"),
+        ("steps.uld_tau_scale = -1", "steps.uld_tau_scale must be positive, got -1"),
+        ("steps.uld_gamma_scale = 0", "steps.uld_gamma_scale must be positive, got 0"),
+        ("oracle.error_cell = 0", "oracle.error_cell must be positive, got 0"),
+        ("oracle.score_error = -1", "oracle.score_error must be >= 0, got -1"),
+        ("oracle.energy_error = nan", "oracle.energy_error must be >= 0, got nan"),
+        ("schedule.times = 1.2,0", "schedule.times must be strictly ascending, got (1.2, 0.0)"),
+        ("schedule.times = -1,0", "schedule.times must be >= 0, got (-1.0, 0.0)"),
+        ("steps.taylor_order = 0", "steps.taylor_order must be >= 1, got 0"),
+        ("steps.taylor_dt = 0", "steps.taylor_dt must be positive, got 0"),
+        ("schedule.eps = 0", "schedule.eps must lie in (0, 1), got 0"),
+    ])
+    def test_bad_value_is_named_in_one_line(self, tmp_path, capsys, line, message):
+        err = self.run_one_line_error(tmp_path, capsys, _with_line(line))
+        assert message in err
 
     @pytest.mark.parametrize("value", ["abc", "0", "-3"])
     def test_bad_worker_count(self, tmp_path, capsys, monkeypatch, value):

@@ -1,16 +1,17 @@
 """Tests for histogram TV, marginal accuracy, and the mode diagnostics."""
 
 import math
+import sys
+import threading
 import warnings
 
 import numpy as np
 import pytest
 
 from rtkbench.metrics import (
-    ConditionalHistogram,
     Histogram1D,
     MetricsRow,
-    conditional_histogram,
+    SortedReference,
     histogram_tv,
     marginal_accuracy,
     mode_mass,
@@ -47,6 +48,29 @@ class TestHistogram1D:
         h = Histogram1D.from_samples(np.array([1.0]), np.array([0.0, 0.5, 1.0]))
         assert h.mass.tolist() == [0.0, 1.0]
         assert h.out_of_range == 0.0
+
+    @pytest.mark.parametrize("bins", [1, 2, 7, 100])
+    def test_counts_equal_np_histogram(self, bins):
+        rng = np.random.default_rng(bins)
+        edges = np.linspace(-2.0, 2.0, bins + 1)
+        x = np.concatenate([
+            rng.normal(size=500),
+            edges, edges, np.full(3, edges[-1]),  # every edge, the last one often
+            rng.choice(edges, 50), np.full(20, 0.3),  # duplicates
+            [np.nan, np.inf, -np.inf, np.nan, np.inf],
+        ])
+        rng.shuffle(x)
+        want = np.histogram(x, bins=edges)[0]
+        h = Histogram1D.from_samples(x, edges)
+        np.testing.assert_array_equal(h.mass, want / x.size)
+        assert h.out_of_range == float((x.size - want.sum()) / x.size)
+
+    @pytest.mark.parametrize("value", [0.25, 1.0, 3.0])
+    def test_constant_column_counts_equal_np_histogram(self, value):
+        x = np.full(40, value)
+        for edges in (pooled_edges(x, x, 1), pooled_edges(x, x, 10), np.linspace(-1.0, 1.0, 5)):
+            h = Histogram1D.from_samples(x, edges)
+            np.testing.assert_array_equal(h.mass, np.histogram(x, bins=edges)[0] / x.size)
 
 
 class TestHistogramTv:
@@ -148,41 +172,99 @@ class TestMarginalAccuracy:
         assert marginal_accuracy(a + shift, b + shift) == marginal_accuracy(a, b)
 
 
-class TestConditionalHistogram:
-    def test_wide_window_matches_unconditional(self):
-        rng = np.random.default_rng(11)
-        x = rng.standard_normal((5000, 3))
-        edges = np.linspace(-4, 4, 41)
-        cond = conditional_histogram(x, 0, -1e9, 1e9, 2, edges=edges)
-        plain = Histogram1D.from_samples(x[:, 2], edges)
-        np.testing.assert_array_equal(cond.histogram.mass, plain.mass)
-        assert cond.retained_fraction == 1.0
+def per_column_accuracy(samples, reference, bins):
+    """marginal_accuracy as a per-column pooled_edges + np.histogram loop."""
+    def finite_range(x):
+        finite = x[np.isfinite(x)]
+        return np.min(finite, initial=np.inf), np.max(finite, initial=-np.inf)
 
-    def test_empty_window_flagged(self):
-        x = np.zeros((50, 2))
-        cond = conditional_histogram(x, 0, 5.0, 6.0, 1)
-        assert cond.empty
-        assert cond.retained_fraction == 0.0
+    def binned(x, edges):
+        counts = np.histogram(x, bins=edges)[0]
+        return counts / x.size, float((x.size - counts.sum()) / x.size)
 
-    def test_open_interval(self):
-        x = np.array([[0.75, 1.0], [1.0, 2.0], [1.25, 3.0]])
-        cond = conditional_histogram(x, 0, 0.75, 1.25, 1, bins=4)
-        assert cond.histogram.n == 1  # endpoints excluded
+    tvs = []
+    for j in range(samples.shape[1]):
+        a, b = samples[:, j], reference[:, j]
+        (lo_a, hi_a), (lo_b, hi_b) = finite_range(a), finite_range(b)
+        lo, hi = min(lo_a, lo_b), max(hi_a, hi_b)
+        if not (hi >= lo):
+            lo = hi = 0.0
+        if not (hi > lo):
+            lo, hi = lo - 0.5, hi + 0.5
+        edges = np.linspace(lo, hi, bins + 1)
+        (mass_a, oor_a), (mass_b, oor_b) = binned(a, edges), binned(b, edges)
+        tvs.append(float(0.5 * np.abs(mass_a - mass_b).sum() + 0.5 * abs(oor_a - oor_b)))
+    return float(1.0 - 0.5 * np.mean(tvs))
 
-    def test_ring_mixture_slice_peaks_at_zero(self):
-        # conditioning dim 0 to (0.75, 1.25) keeps the angle-0 component and
-        # its two neighbours; the dim-1 histogram peaks in the bin holding 0
-        mix = IsotropicGaussianMixture.ring(12, 10)
-        x = sample_base(mix, 200_000, np.random.default_rng(12))
-        cond = conditional_histogram(x, 0, 0.75, 1.25, 1, bins=30)
-        assert 0.15 <= cond.retained_fraction <= 0.35
-        peak = np.argmax(cond.histogram.mass)
-        lo, hi = cond.histogram.edges[peak], cond.histogram.edges[peak + 1]
-        assert lo <= 0.0 <= hi
 
-    def test_bad_window(self):
-        with pytest.raises(ValueError):
-            conditional_histogram(np.zeros((5, 2)), 0, 1.0, 1.0, 1)
+def reference_and_samples(d, n_ref=20_000, seed=21):
+    mix = IsotropicGaussianMixture.ring(12, max(d, 2))
+    rng = np.random.default_rng(seed)
+    ref = sample_base(mix, n_ref, rng)[:, :d]
+    ref[:, -1] = 0.75  # a constant column
+    x = sample_base(mix, 600, rng)[:, :d] * 1.1
+    x[0, 0], x[1, 0], x[2, min(1, d - 1)] = np.nan, np.inf, -np.inf
+    x[3:40, 0] = x[40, 0]  # duplicates
+    return ref, x
+
+
+class TestSortedReference:
+    @pytest.mark.parametrize("d", [1, 2, 10, 32])
+    @pytest.mark.parametrize("bins", [1, 10, 100])
+    def test_bit_equal_to_the_per_column_loop(self, d, bins):
+        ref, x = reference_and_samples(d)
+        want = per_column_accuracy(x, ref, bins)
+        assert marginal_accuracy(x, ref, bins) == want
+        shared = SortedReference(ref.copy())
+        assert marginal_accuracy(x, shared, bins) == want
+        assert marginal_accuracy(x[:50], shared, bins) == per_column_accuracy(x[:50], ref, bins)
+
+    def test_plain_reference_is_left_unchanged(self):
+        ref, x = reference_and_samples(4)
+        before = ref.copy()
+        marginal_accuracy(x, ref)
+        assert ref.tobytes() == before.tobytes()
+        assert ref.flags.writeable
+
+    def test_sorts_its_own_array_in_place_once(self):
+        ref, _ = reference_and_samples(3)
+        owned = ref.copy()
+        shared = SortedReference(owned)
+        data, ranges = shared.sorted_columns()
+        assert np.shares_memory(data, owned) and not owned.flags.writeable
+        np.testing.assert_array_equal(data, np.sort(ref, axis=0))
+        assert ranges == [(ref[:, j].min(), ref[:, j].max()) for j in range(3)]
+        assert shared.sorted_columns()[0] is data
+
+    def test_threads_sharing_one_reference_match_serial(self):
+        ref, x = reference_and_samples(6, n_ref=100_000)
+        batches = [x[i:i + 150] for i in range(0, 600, 150)]
+        serial = [marginal_accuracy(b, ref, 40) for b in batches]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(8):  # a fresh, unsorted reference each round
+                shared = SortedReference(ref.copy())
+                start = threading.Barrier(4)  # all four make the first call together
+                results = {}
+
+                def work(k):
+                    start.wait(timeout=60)
+                    for j in range(len(batches)):
+                        results[k, j] = marginal_accuracy(
+                            batches[(j + k) % len(batches)], shared, 40)
+
+                threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+                for th in threads:
+                    th.start()
+                for th in threads:
+                    th.join(timeout=60)
+                assert not any(th.is_alive() for th in threads)
+                assert len(results) == 4 * len(batches)
+                for (k, j), got in results.items():
+                    assert got == serial[(j + k) % len(batches)]
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestModeMass:

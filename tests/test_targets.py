@@ -332,6 +332,19 @@ class TestSampleBase:
         b = sample_base(mix, 1000, np.random.default_rng(42))
         np.testing.assert_array_equal(a, b)
 
+    @pytest.mark.parametrize("d", [2, 10, 32])
+    def test_in_place_draw_is_bit_equal_to_the_expression(self, d):
+        rng = np.random.default_rng(d)
+        w = rng.uniform(0.5, 2.0, 5)
+        mix = IsotropicGaussianMixture(w / w.sum(), rng.normal(size=(5, d)),
+                                       rng.uniform(0.01, 3.0, 5))
+        got = sample_base(mix, 3000, np.random.default_rng(7))
+        ref_rng = np.random.default_rng(7)
+        idx = ref_rng.choice(mix.n_components, size=3000, p=mix.weights)
+        noise = ref_rng.standard_normal((3000, d))
+        want = mix.means[idx] + np.sqrt(mix.variances[idx])[:, None] * noise
+        assert got.tobytes() == want.tobytes()
+
 
 class TestScoreOracle:
     def test_zero_error_is_exact(self):
