@@ -12,7 +12,7 @@ import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +26,7 @@ from .samplers import (
     default_projection_params,
     rtk_run,
 )
-from .schedule import FixedSchedule, RtkSchedule
+from .schedule import FixedSchedule
 from .targets import IsotropicGaussianMixture, ScoreOracle, sample_base, score
 
 Array = np.ndarray
@@ -85,18 +85,28 @@ class ExperimentConfig:
     output_dir: str = "."
 
     def __post_init__(self):
+        if not self.methods:
+            raise ValueError("experiment.methods must name at least one method")
+        for m in self.methods:
+            if m not in METHODS:
+                raise ValueError(f"experiment.methods: unknown method {m!r}; "
+                                 f"expected one of {METHODS}")
         if not self.nfe_budgets:
-            raise ValueError("nfe_budgets must be nonempty")
+            raise ValueError("experiment.nfe_budgets must be nonempty")
         if any(b <= a for a, b in zip(self.nfe_budgets, self.nfe_budgets[1:])):
-            raise ValueError("nfe_budgets must be strictly increasing")
+            raise ValueError(f"experiment.nfe_budgets must be strictly increasing, "
+                             f"got {self.nfe_budgets}")
         if min(self.nfe_budgets) < 1:
-            raise ValueError("nfe_budgets must be positive")
+            raise ValueError(f"experiment.nfe_budgets must be positive, got {self.nfe_budgets}")
         if self.n_samples < 1:
-            raise ValueError("n_samples must be >= 1")
+            raise ValueError(f"experiment.n_samples must be >= 1, got {self.n_samples}")
         if self.schedule_kind not in ("fixed", "theory"):
-            raise ValueError(f"unknown schedule kind {self.schedule_kind!r}")
+            raise ValueError(f"schedule.kind: unknown schedule kind {self.schedule_kind!r}; "
+                             "expected 'fixed' or 'theory'")
         if self.schedule_kind == "fixed" and not self.fixed_times:
-            raise ValueError("fixed schedule needs transition times")
+            raise ValueError("schedule.times is empty: a fixed schedule needs transition times")
+        if self.max_outer_steps < 1:
+            raise ValueError(f"schedule.max_outer_steps must be >= 1, got {self.max_outer_steps}")
         if not (0.0 < self.horizon < math.inf):
             raise ValueError(f"experiment.horizon must be finite and positive, got {self.horizon}")
         if self.schedule_kind == "fixed" and not (self.horizon > max(self.fixed_times)):
@@ -114,7 +124,9 @@ class ExperimentConfig:
             raise ValueError(f"schedule.times must be strictly ascending, got {self.fixed_times}")
         if not (0.0 < self.eps < 1.0):
             raise ValueError(f"schedule.eps must lie in (0, 1), got {self.eps}")
-        for key, value in (("oracle.score_error", self.score_error),
+        for key, value in (("experiment.master_seed", self.master_seed),
+                           ("experiment.metric_seed", self.metric_seed),
+                           ("oracle.score_error", self.score_error),
                            ("oracle.energy_error", self.energy_error)):
             if not (value >= 0):
                 raise ValueError(f"{key} must be >= 0, got {value}")
@@ -185,22 +197,21 @@ def _diffused_second_moment(mix: IsotropicGaussianMixture, t: float) -> float:
     return decay * mix.second_moment() + (1.0 - decay) * mix.dim
 
 
-def build_schedule(config: ExperimentConfig):
-    """Schedule plus per-segment curvatures (None for theory schedules)."""
+def build_schedule(config: ExperimentConfig) -> FixedSchedule:
+    """The run's schedule.
+
+    Theory schedules use the data-time bound L = 1 / min variance on every
+    segment; fixed ones carry each segment's segment_curvature.
+    """
     mix = config.mixture
     if config.schedule_kind == "theory":
         L = 1.0 / float(mix.variances.min())
         grad0 = float(np.linalg.norm(score(mix, 0.0, np.zeros(mix.dim))))
-        sched = RtkSchedule.theory(L, mix.dim, grad0, config.eps,
-                                   max_outer_steps=config.max_outer_steps)
-        return sched, None
-    times = tuple(config.fixed_times)
-    bounds = list(times) + [config.horizon]
-    pairs = [(bounds[i], bounds[i + 1] - bounds[i]) for i in range(len(times))]
-    curvatures = [segment_curvature(mix, t, eta) for t, eta in reversed(pairs)]
-    sched = FixedSchedule(times=times, horizon=config.horizon,
-                          L=max(curvatures) if curvatures else 1.0)
-    return sched, curvatures
+        return FixedSchedule.theory(L, mix.dim, grad0, config.eps,
+                                    max_outer_steps=config.max_outer_steps)
+    sched = FixedSchedule(times=config.fixed_times, horizon=config.horizon, L=1.0)
+    return replace(sched, L=[segment_curvature(mix, seg.t_base, seg.eta)
+                             for seg in sched.segments()])
 
 
 def split_budget(budget: int, segments: int) -> list[int]:
@@ -241,16 +252,15 @@ def _practical_tau(config: ExperimentConfig, L_k: float, m2: float,
     return min(config.tau_multiplier * tau, config.tau_cap / L_k)
 
 
-def build_specs(config: ExperimentConfig, schedule, method: str, budget: int,
-                curvatures: list[float] | None):
+def build_specs(config: ExperimentConfig, schedule, method: str, budget: int):
     """Per-segment sampler specs for one RTK work unit."""
     segments = schedule.segments()
     steps = allocate_nfe(budget, method, schedule, config.taylor_order)
-    warm = isinstance(schedule, FixedSchedule)
+    warm = config.schedule_kind == "fixed"
     mix = config.mixture
     specs = []
     for seg, s_k in zip(segments, steps):
-        L_k = schedule.L if curvatures is None else curvatures[seg.index]
+        L_k = seg.L
         if method in ("ula", "mala", "mala_es"):
             m2 = math.sqrt(_diffused_second_moment(mix, seg.t_base))
             x0 = math.sqrt(_diffused_second_moment(mix, seg.t_base + seg.eta))
@@ -274,16 +284,15 @@ def build_specs(config: ExperimentConfig, schedule, method: str, budget: int,
 
 
 def _run_unit(config: ExperimentConfig, oracle: ScoreOracle, schedule,
-              curvatures, reference: SortedReference, method: str, budget: int,
+              reference: SortedReference, method: str, budget: int,
               unit_rng: np.random.Generator):
     start = time.perf_counter()
     if method == "ddpm":
         state = ddpm_run(oracle, config.horizon, budget, config.n_samples, unit_rng)
         clamps = 0
     else:
-        specs = build_specs(config, schedule, method, budget, curvatures)
-        state, _ = rtk_run(oracle, schedule, specs, config.n_samples, unit_rng,
-                           init_L=curvatures)
+        specs = build_specs(config, schedule, method, budget)
+        state, _ = rtk_run(oracle, schedule, specs, config.n_samples, unit_rng)
         clamps = state.noise_clamps
     wall = (time.perf_counter() - start) * 1000.0 if config.record_wall else 0.0
     x = state.positions
@@ -326,9 +335,6 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
     the reference uses metric_seed.  RTKBENCH_WORKERS > 1 fans units out to
     a thread pool without changing any output byte.
     """
-    for m in config.methods:
-        if m not in METHODS:
-            raise ValueError(f"unknown method {m!r}; expected one of {METHODS}")
     text = os.environ.get("RTKBENCH_WORKERS", "").strip() or "1"
     try:
         workers = int(text)
@@ -341,7 +347,11 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
                          energy_error=config.energy_error,
                          error_seed=config.error_seed,
                          error_cell=config.error_cell)
-    schedule, curvatures = build_schedule(config)
+    schedule = build_schedule(config)
+    n_segments = len(schedule.segments())
+    if set(config.methods) - {"ddpm"} and min(config.nfe_budgets) < n_segments:
+        raise ValueError(f"experiment.nfe_budgets = {min(config.nfe_budgets)} cannot cover "
+                         f"the {n_segments} schedule segments with one score call each")
     # Sorted on first use, inside the first unit's marginal_accuracy call.
     reference = SortedReference(sample_base(
         mix, config.reference_size,
@@ -354,8 +364,7 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
         mi, method, bi, budget = unit
         rng = np.random.default_rng(
             np.random.SeedSequence(config.master_seed, spawn_key=(mi, bi)))
-        return _run_unit(config, oracle, schedule, curvatures, reference,
-                         method, budget, rng)
+        return _run_unit(config, oracle, schedule, reference, method, budget, rng)
 
     if workers > 1 and len(units) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -21,7 +21,6 @@ Array = np.ndarray
 
 __all__ = [
     "ChainState",
-    "DdpmSpec",
     "MalaSpec",
     "SegmentTrace",
     "UlaSpec",
@@ -50,17 +49,6 @@ _ULD_SERIES_CUTOFF = 1e-3
 
 
 @dataclass(frozen=True)
-class DdpmSpec:
-    """One-Gaussian-per-segment reverse chain; one score call per step."""
-
-    steps: int
-
-    def __post_init__(self):
-        if self.steps < 1:
-            raise ValueError("DDPM needs at least one step")
-
-
-@dataclass(frozen=True)
 class UlaSpec:
     """Unadjusted Langevin: steps of size tau, no correction."""
 
@@ -81,8 +69,7 @@ class MalaSpec:
     estimator "exact" uses the oracle's energy-difference query; "taylor"
     reconstructs it from scores alone (order taylor_order on a grid of
     spacing taylor_dt; None resolves to sqrt(score_error) or 1e-3 at run
-    time).  projected adds the stay-unless-inside B(z, r) & B(0, R) gate;
-    lazy flips a fair coin to stay before proposing.
+    time).  projected adds the stay-unless-inside B(z, r) & B(0, R) gate.
     """
 
     steps: int
@@ -93,7 +80,6 @@ class MalaSpec:
     estimator: str = "exact"
     taylor_order: int = 2
     taylor_dt: float | None = None
-    lazy: bool = False
 
     def __post_init__(self):
         if self.steps < 0:
@@ -348,9 +334,6 @@ def mala_run(target, spec: MalaSpec, state: ChainState) -> ChainState:
         noise = rng.standard_normal(z.shape)
         z_prop = z - tau * grad_z + root * noise
         log_u = np.log(rng.random(z.shape[0]))
-        proposed = np.ones(z.shape[0], dtype=bool)
-        if spec.lazy:
-            proposed = rng.random(z.shape[0]) < 0.5
         if taylor:
             score_prop = target.score(z_prop)
             f_diff, _ = taylor_energy_diff(target.score, z, z_prop,
@@ -363,10 +346,10 @@ def mala_run(target, spec: MalaSpec, state: ChainState) -> ChainState:
         grad_prop = target.grad_energy(z_prop, score_value=score_prop)
         log_a = mala_accept_log(target, z, z_prop, tau, grad_z=grad_z,
                                 grad_prop=grad_prop, neg_energy_diff=r)
-        accept = (log_u < log_a) & proposed
+        accept = log_u < log_a
         if spec.projected:
             accept &= projected_gate(z, z_prop, spec.radius_r, spec.radius_R)
-        state.propose_count += proposed
+        state.propose_count += 1
         state.accept_count += accept
         state.nfe += spec.step_nfe
         keep = accept[:, None]
@@ -461,8 +444,7 @@ class SegmentTrace:
 
 
 def rtk_run(oracle: ScoreOracle, schedule, specs, n_chains: int,
-            rng: np.random.Generator,
-            init_L: list[float] | None = None) -> tuple[ChainState, list[SegmentTrace]]:
+            rng: np.random.Generator) -> tuple[ChainState, list[SegmentTrace]]:
     """Outer annealing loop: from N(0, I) through each segment's target.
 
     specs is a single inner spec applied to every segment or a per-segment
@@ -471,8 +453,7 @@ def rtk_run(oracle: ScoreOracle, schedule, specs, n_chains: int,
     completing-square Gaussian; ULA does so only for the first segment and
     then warm-starts from the previous output; ULD draws the theory pair or,
     with init="warm", MALA-style positions plus fresh N(0, I) velocities.
-    init_L optionally overrides the smoothness used by those Gaussians,
-    one value per segment (fixed schedules with per-segment curvature).
+    Those Gaussians use each segment's own eta and curvature L.
     """
     segments = schedule.segments()
     if isinstance(specs, (UlaSpec, MalaSpec, UldSpec)):
@@ -480,32 +461,29 @@ def rtk_run(oracle: ScoreOracle, schedule, specs, n_chains: int,
     specs = list(specs)
     if len(specs) != len(segments):
         raise ValueError(f"need {len(segments)} inner specs, got {len(specs)}")
-    if init_L is not None and len(init_L) != len(segments):
-        raise ValueError("init_L must have one entry per segment")
     dim = oracle.dim
     state = ChainState(rng.standard_normal((n_chains, dim)), rng)
     traces: list[SegmentTrace] = []
     for seg, spec in zip(segments, specs):
         target = make_target(oracle, schedule, seg.index, state.positions)
-        seg_L = None if init_L is None else init_L[seg.index]
         accepts0 = int(state.accept_count.sum())
         proposals0 = int(state.propose_count.sum())
         if isinstance(spec, MalaSpec):
-            init = mala_init(schedule, state.positions, eta=seg.eta, L=seg_L)
+            init = mala_init(seg, state.positions)
             state.positions = init.sample(state.rng)
             mala_run(target, spec, state)
         elif isinstance(spec, UlaSpec):
             if seg.index == 0:
-                init = mala_init(schedule, state.positions, eta=seg.eta, L=seg_L)
+                init = mala_init(seg, state.positions)
                 state.positions = init.sample(state.rng)
             ula_run(target, spec, state)
         elif isinstance(spec, UldSpec):
             if spec.init == "warm":
-                init = mala_init(schedule, state.positions, eta=seg.eta, L=seg_L)
+                init = mala_init(seg, state.positions)
                 state.positions = init.sample(state.rng)
                 state.velocity = state.rng.standard_normal((n_chains, dim))
             else:
-                z, v = uld_init(schedule, (n_chains, dim), state.rng, eta=seg.eta)
+                z, v = uld_init(seg, (n_chains, dim), state.rng)
                 state.positions = z
                 state.velocity = v
             uld_run(target, spec, state)

@@ -6,17 +6,17 @@ the previous output x_prev and targets
     p(z | x_prev)  with energy  g(z) = f_t(z) + ||x_prev - e^(-eta) z||^2 / (2 (1 - e^(-2 eta)))
 
 where f_t = -log p_t at the segment's base time t and eta is the segment
-length.  Theory schedules pick eta = eta_for(L) so that the quadratic term
+length.  Each segment also carries its curvature L.  Theory schedules
+(FixedSchedule.theory) pick eta = eta_for(L) so that the quadratic term
 contributes exactly 2L to the Hessian, making g L-strongly log-concave and
-3L-smooth whenever ||hess log p_t|| <= L.  Fixed schedules replay an explicit
-list of transition times instead (the benchmark setting).
+3L-smooth whenever ||hess log p_t|| <= L.  The benchmark's fixed schedules
+give explicit transition times and a curvature bound per segment instead.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -42,52 +42,16 @@ def outer_steps(L: float, dim: int, grad0_norm: float, eps: float) -> int:
 
 @dataclass(frozen=True)
 class Segment:
-    """One reverse step: from time t_base + eta down to t_base."""
+    """One reverse step, from time t_base + eta down to t_base, with curvature L."""
 
     index: int
     t_base: float
     eta: float
-
-    def __post_init__(self):
-        if self.t_base < 0 or not (self.eta > 0):
-            raise ValueError("segment needs t_base >= 0 and eta > 0")
-
-
-@dataclass(frozen=True)
-class RtkSchedule:
-    """Uniform theory schedule: K segments of length eta = eta_for(L)."""
-
     L: float
-    eta: float
-    K: int
-    T: float
 
     def __post_init__(self):
-        if not (self.L > 0):
-            raise ValueError("L must be positive")
-        if self.K < 1:
-            raise ValueError("K must be >= 1")
-        if abs(self.eta - eta_for(self.L)) > 1e-12:
-            raise ValueError("eta must equal eta_for(L)")
-        if abs(self.T - self.K * self.eta) > 1e-12:
-            raise ValueError("T must equal K * eta")
-
-    @classmethod
-    def theory(cls, L: float, dim: int, grad0_norm: float, eps: float,
-               max_outer_steps: int = 64) -> "RtkSchedule":
-        if max_outer_steps < 1:
-            raise ValueError("max_outer_steps must be >= 1")
-        k = min(outer_steps(L, dim, grad0_norm, eps), max_outer_steps)
-        eta = eta_for(L)
-        return cls(L=L, eta=eta, K=k, T=k * eta)
-
-    @property
-    def horizon(self) -> float:
-        return self.T
-
-    def segments(self) -> tuple[Segment, ...]:
-        return tuple(Segment(k, (self.K - k - 1) * self.eta, self.eta)
-                     for k in range(self.K))
+        if self.t_base < 0 or not (self.eta > 0) or not (self.L > 0):
+            raise ValueError("segment needs t_base >= 0, eta > 0 and L > 0")
 
 
 @dataclass(frozen=True)
@@ -97,17 +61,18 @@ class FixedSchedule:
     times[j] are the base times the reverse chain visits; the chain starts at
     the horizon and steps down through them.  An empty list means zero
     segments (the output is just the N(0, I) initialization).  L is the
-    smoothness value fed to the initialization formulas.
+    curvature of every segment, either one float for all of them or one value
+    per segment in segments() order (largest t_base first).
     """
 
     times: tuple
     horizon: float
-    L: float
+    L: float | tuple
 
     def __post_init__(self):
         times = tuple(float(t) for t in self.times)
-        if not (self.horizon > 0) or not (self.L > 0):
-            raise ValueError("horizon and L must be positive")
+        if not (self.horizon > 0):
+            raise ValueError("horizon must be positive")
         if times:
             if times[0] < 0:
                 raise ValueError("times must be >= 0")
@@ -115,30 +80,35 @@ class FixedSchedule:
                 raise ValueError("times must be strictly ascending")
             if times[-1] >= self.horizon:
                 raise ValueError("times must stay below the horizon")
+        L = float(self.L) if np.ndim(self.L) == 0 else tuple(float(v) for v in self.L)
+        if isinstance(L, tuple) and len(L) != len(times):
+            raise ValueError(f"need one L per segment, got {len(L)} for {len(times)} segments")
+        if not (np.asarray(L) > 0).all():
+            raise ValueError("L must be positive")
         object.__setattr__(self, "times", times)
+        object.__setattr__(self, "L", L)
+
+    @classmethod
+    def theory(cls, L: float, dim: int, grad0_norm: float, eps: float,
+               max_outer_steps: int = 64) -> "FixedSchedule":
+        """Uniform theory schedule: K = outer_steps(...) segments of length eta_for(L)."""
+        if max_outer_steps < 1:
+            raise ValueError("max_outer_steps must be >= 1")
+        k = min(outer_steps(L, dim, grad0_norm, eps), max_outer_steps)
+        eta = eta_for(L)
+        return cls(times=tuple(j * eta for j in range(k)), horizon=k * eta, L=L)
 
     @property
     def K(self) -> int:
         return len(self.times)
 
-    @property
-    def eta(self) -> float:
-        segs = self.segments()
-        if not segs:
-            raise ValueError("empty schedule has no segment length")
-        etas = {round(s.eta, 15) for s in segs}
-        if len(etas) > 1:
-            raise ValueError("segments are not uniform; use per-segment eta")
-        return segs[0].eta
-
     def segments(self) -> tuple[Segment, ...]:
+        n = len(self.times)
         bounds = list(self.times) + [self.horizon]
-        out = []
-        for k in range(len(self.times)):
-            hi = bounds[len(self.times) - k]
-            lo = bounds[len(self.times) - k - 1]
-            out.append(Segment(k, lo, hi - lo))
-        return tuple(out)
+        curvatures = self.L if isinstance(self.L, tuple) else (self.L,) * n
+        return tuple(Segment(k, bounds[n - k - 1], bounds[n - k] - bounds[n - k - 1],
+                             curvatures[k])
+                     for k in range(n))
 
 
 class RtkTarget:
@@ -247,34 +217,28 @@ class GaussianInit:
         return mean + math.sqrt(self.variance) * rng.standard_normal(mean.shape)
 
 
-def mala_init(schedule, x_prev: Array, eta: float | None = None,
-              L: float | None = None) -> GaussianInit:
+def mala_init(seg: Segment, x_prev: Array) -> GaussianInit:
     """Gaussian completing the square of exp(-L ||z||^2 - ||x_prev - e^(-eta) z||^2 / (2(1-e^(-2 eta)))).
 
     With quadratic weight c = e^(-2 eta)/(1 - e^(-2 eta)) this is
     N(x_prev e^(-eta) / ((1-e^(-2 eta)) (2L + c)), 1/(2L + c) I); for theory
     schedules c = 2L, giving variance 1/(4L) and mean (2L+1) e^(-eta) x_prev / (4L).
-    L defaults to the schedule's global smoothness; fixed-schedule callers may
-    pass the segment's own curvature instead.
+    eta and L are the segment's own.
     """
-    L = schedule.L if L is None else float(L)
-    eta = schedule.eta if eta is None else float(eta)
-    em2 = math.exp(-2.0 * eta)
+    em2 = math.exp(-2.0 * seg.eta)
     c = em2 / (1.0 - em2)
-    a = 2.0 * L + c
-    mean = (math.exp(-eta) / (1.0 - em2)) * np.asarray(x_prev, dtype=np.float64) / a
+    a = 2.0 * seg.L + c
+    mean = (math.exp(-seg.eta) / (1.0 - em2)) * np.asarray(x_prev, dtype=np.float64) / a
     return GaussianInit(mean, 1.0 / a)
 
 
-def uld_init(schedule, shape, rng: np.random.Generator,
-             eta: float | None = None) -> tuple[Array, Array]:
-    """Position/velocity draw N(0, (e^(2 eta) - 1) I) x N(0, I).
+def uld_init(seg: Segment, shape, rng: np.random.Generator) -> tuple[Array, Array]:
+    """Position/velocity draw N(0, (e^(2 eta) - 1) I) x N(0, I) for the segment's eta.
 
     For theory schedules e^(2 eta) - 1 = 1/(2L), matching the scale of the
     segment targets.  shape is the output array shape, e.g. (n, d).
     """
-    eta = schedule.eta if eta is None else float(eta)
-    z_var = math.expm1(2.0 * eta)
+    z_var = math.expm1(2.0 * seg.eta)
     z = math.sqrt(z_var) * rng.standard_normal(shape)
     v = rng.standard_normal(shape)
     return z, v

@@ -375,9 +375,6 @@ class ScoreOracle:
     def dim(self) -> int:
         return self.base.dim
 
-    def marginal(self, t) -> IsotropicGaussianMixture:
-        return forward_marginal(self.base, t)
-
     def log_density(self, t, x):
         """Exact log p_t(x); error injection applies to score/energy only."""
         return log_density(self.base, t, x)
@@ -473,51 +470,3 @@ class ScoreOracle:
         out = exact + self.energy_error * delta
         return float(out) if np.ndim(out) == 0 else out
 
-
-@dataclass(frozen=True)
-class SmoothnessEstimate:
-    """Probe-based lower estimate of L = sup ||hess log p_t|| with its probes."""
-
-    value: float
-    probes: tuple  # tuple of (t, points-array) pairs, for reproducibility
-    step: float
-
-    def __float__(self) -> float:
-        return self.value
-
-
-def hessian_log_density(mix: IsotropicGaussianMixture, t, x: Array,
-                        step: float = 1e-4) -> Array:
-    """Central-difference Hessian of log p_t at points x, shape (..., d, d)."""
-    x = np.asarray(x, dtype=np.float64)[..., None, :]
-    shift = step * np.eye(x.shape[-1])
-    s = score(mix, t, np.stack([x + shift, x - shift]))  # (2, ..., d, d)
-    hess = (s[0] - s[1]) / (2.0 * step)                 # rows: d/dx_j of score
-    return 0.5 * (hess + np.swapaxes(hess, -1, -2))     # symmetrize
-
-
-def estimate_smoothness(oracle: ScoreOracle | IsotropicGaussianMixture,
-                        times: Sequence[float], probes: int,
-                        rng: np.random.Generator,
-                        step: float = 1e-4) -> SmoothnessEstimate:
-    """Max spectral norm of the log-density Hessian over probed (t, x).
-
-    Probes are drawn from the diffused mixture at each time (that is where
-    samplers actually evaluate scores) plus the diffused component means.
-    This is a lower estimate of the true Lipschitz constant; the probe set is
-    returned so downstream checks can reuse exactly the same points.
-    """
-    mix = oracle.base if isinstance(oracle, ScoreOracle) else oracle
-    if probes < 0:
-        raise ValueError("probe count must be >= 0")
-    worst = 0.0
-    probe_sets = []
-    for t in times:
-        t = _time_value(t)
-        marg = forward_marginal(mix, t)
-        pts = np.vstack([marg.means, sample_base(marg, probes, rng)])
-        hess = hessian_log_density(mix, t, pts, step=step)
-        norms = np.abs(np.linalg.eigvalsh(hess)).max(axis=1)
-        worst = max(worst, float(norms.max()))
-        probe_sets.append((t, _readonly(pts)))
-    return SmoothnessEstimate(worst, tuple(probe_sets), step)

@@ -29,7 +29,6 @@ from rtkbench.samplers import (
 )
 from rtkbench.schedule import (
     FixedSchedule,
-    RtkSchedule,
     energy_hessian,
     eta_for,
     mala_init,
@@ -64,7 +63,7 @@ def test_a1_mala_detailed_balance():
     worst = 0.0
     for dim, seed in ((1, 101), (2, 202)):
         mix = IsotropicGaussianMixture.standard_normal(dim)
-        sched = RtkSchedule(L=1.0, eta=eta_for(1.0), K=1, T=eta_for(1.0))
+        sched = FixedSchedule(times=(0.0,), horizon=eta_for(1.0), L=1.0)
         rng = np.random.default_rng(seed)
         n = 10_000
         target = make_target(ScoreOracle(mix), sched, 0, rng.normal(size=(n, dim)))
@@ -96,7 +95,7 @@ def test_a2_reverse_kernel_bayes_consistency():
     start = time.perf_counter()
     eta = eta_for(1.0)
     mix = IsotropicGaussianMixture.standard_normal(2)
-    sched = RtkSchedule(L=1.0, eta=eta, K=1, T=eta)
+    sched = FixedSchedule(times=(0.0,), horizon=eta, L=1.0)
     rng = np.random.default_rng(424_242)
     n = 10_000
     x_prev = rng.normal(size=(n, 2))  # p_{t+eta} = N(0, I) for this base
@@ -110,7 +109,7 @@ def test_a2_reverse_kernel_bayes_consistency():
     assert float(np.max(np.abs(grad_at_mean))) <= 1e-10
     assert abs(em2 * 1.0 + var_target - 1.0) <= 1e-12  # mixed variance
 
-    state = ChainState(mala_init(sched, x_prev).sample(rng), rng)
+    state = ChainState(mala_init(sched.segments()[0], x_prev).sample(rng), rng)
     mala_run(target, MalaSpec(steps=80, tau=0.1), state)
     pooled = state.positions
     mean_se, var_se = 1.0 / math.sqrt(n), math.sqrt(2.0 / n)
@@ -211,7 +210,7 @@ def test_a5_score_only_estimator():
     assert cost == 2
 
     mix = IsotropicGaussianMixture.standard_normal(1)
-    sched = RtkSchedule(L=1.0, eta=eta_for(1.0), K=1, T=eta_for(1.0))
+    sched = FixedSchedule(times=(0.0,), horizon=eta_for(1.0), L=1.0)
     oracle = ScoreOracle(mix)
     chains, steps, tau = 50_000, 400, 0.1
     variances = {}
@@ -221,7 +220,7 @@ def test_a5_score_only_estimator():
         rng_m = np.random.default_rng(seed)
         x_prev = rng_m.normal(size=(chains, 1))
         target = make_target(oracle, sched, 0, x_prev)
-        state = ChainState(mala_init(sched, x_prev).sample(rng_m), rng_m)
+        state = ChainState(mala_init(sched.segments()[0], x_prev).sample(rng_m), rng_m)
         mala_run(target, spec, state)
         variances[name] = float(state.positions.var())
     rel = abs(variances["taylor"] - variances["exact"]) / variances["exact"]

@@ -13,6 +13,7 @@ from rtkbench.bench import (
     DIVERGED_FACTOR,
     METHODS,
     ExperimentConfig,
+    RunReport,
     allocate_nfe,
     build_schedule,
     build_specs,
@@ -35,7 +36,7 @@ from rtkbench.samplers import (
     default_projection_params,
     rtk_run,
 )
-from rtkbench.schedule import FixedSchedule, RtkSchedule
+from rtkbench.schedule import FixedSchedule
 from rtkbench.targets import IsotropicGaussianMixture, ScoreOracle
 
 
@@ -81,8 +82,7 @@ def sched():
 @pytest.fixture(scope="module")
 def preset():
     cfg = paper_preset()
-    schedule, curv = build_schedule(cfg)
-    return cfg, schedule, curv
+    return cfg, build_schedule(cfg)
 
 
 class TestAllocateNfe:
@@ -128,49 +128,53 @@ class TestSegmentCurvature:
 class TestBuildSchedule:
     def test_fixed_uses_worst_segment_curvature(self):
         cfg = paper_preset()
-        sched, curv = build_schedule(cfg)
-        assert isinstance(sched, FixedSchedule)
-        assert len(curv) == 5
-        assert sched.L == max(curv)
-        assert sched.L == pytest.approx(segment_curvature(cfg.mixture, 0.0, 1.2))
+        sched = build_schedule(cfg)
+        segs = sched.segments()
+        assert len(segs) == 5
+        assert [s.L for s in segs] == [segment_curvature(cfg.mixture, s.t_base, s.eta)
+                                       for s in segs]
+        # The data-time segment is the worst one.
+        assert max(s.L for s in segs) == segs[-1].L
+        assert segs[-1].L == pytest.approx(segment_curvature(cfg.mixture, 0.0, 1.2))
 
     def test_theory_mode(self):
         cfg = small_config(schedule_kind="theory", fixed_times=())
-        sched, curv = build_schedule(cfg)
-        assert isinstance(sched, RtkSchedule)
-        assert curv is None
-        assert sched.L == pytest.approx(1.0)  # standard normal: min variance 1
+        sched = build_schedule(cfg)
+        assert isinstance(sched, FixedSchedule)
+        assert sched.K >= 1
+        # standard normal: min variance 1
+        assert all(s.L == pytest.approx(1.0) for s in sched.segments())
 
 
 class TestBuildSpecs:
     def test_mala_specs(self, preset):
-        cfg, sched, curv = preset
-        specs = build_specs(cfg, sched, "mala", 1000, curv)
+        cfg, sched = preset
+        specs = build_specs(cfg, sched, "mala", 1000)
         assert [s.steps for s in specs] == [199] * 5
         assert all(isinstance(s, MalaSpec) and s.estimator == "exact" for s in specs)
-        for s, L_k in zip(specs, curv):
-            assert 0 < s.tau <= cfg.tau_cap / L_k + 1e-15
+        for s, seg in zip(specs, sched.segments()):
+            assert 0 < s.tau <= cfg.tau_cap / seg.L + 1e-15
 
     def test_score_only_specs(self, preset):
-        cfg, sched, curv = preset
-        specs = build_specs(cfg, sched, "mala_es", 1000, curv)
+        cfg, sched = preset
+        specs = build_specs(cfg, sched, "mala_es", 1000)
         assert [s.steps for s in specs] == [99] * 5
         assert all(s.estimator == "taylor" and s.taylor_order == 2 for s in specs)
 
     def test_ula_matches_mala_step_size_rule(self, preset):
         # Same formula; only the log(S) factor differs because MALA reserves
         # one call per segment, so the taus agree to a fraction of a percent.
-        cfg, sched, curv = preset
-        ula = build_specs(cfg, sched, "ula", 1000, curv)
-        mala = build_specs(cfg, sched, "mala", 1000, curv)
+        cfg, sched = preset
+        ula = build_specs(cfg, sched, "ula", 1000)
+        mala = build_specs(cfg, sched, "mala", 1000)
         assert all(isinstance(s, UlaSpec) for s in ula)
         for a, b in zip(ula, mala):
             assert a.tau == pytest.approx(b.tau, rel=2e-3)
 
     def test_uld_specs_follow_segment_curvature(self, preset):
-        cfg, sched, curv = preset
-        specs = build_specs(cfg, sched, "uld", 500, curv)
-        for s, L_k in zip(specs, curv):
+        cfg, sched = preset
+        specs = build_specs(cfg, sched, "uld", 500)
+        for s, L_k in zip(specs, (seg.L for seg in sched.segments())):
             assert isinstance(s, UldSpec)
             assert s.init == "warm"
             assert s.gamma == pytest.approx(cfg.uld_gamma_scale * 2.0 * math.sqrt(6.0 * L_k))
@@ -178,16 +182,16 @@ class TestBuildSpecs:
 
     def test_theory_schedule_keeps_gaussian_uld_init(self):
         cfg = small_config(schedule_kind="theory", fixed_times=())
-        sched, curv = build_schedule(cfg)
-        specs = build_specs(cfg, sched, "uld", 4 * sched.K, curv)
+        sched = build_schedule(cfg)
+        specs = build_specs(cfg, sched, "uld", 4 * sched.K)
         assert all(s.init == "gaussian" for s in specs)
 
     def test_multiplier_one_recovers_analytic_step_bound(self):
         cfg = small_config(tau_multiplier=1.0)
-        sched, curv = build_schedule(cfg)
-        spec = build_specs(cfg, sched, "mala", 24, curv)[0]
+        sched = build_schedule(cfg)
+        spec = build_specs(cfg, sched, "mala", 24)[0]
         m2 = math.sqrt(math.exp(-2 * 1.2) * 2 + (1 - math.exp(-2 * 1.2)) * 2)
-        _, _, tau = default_projection_params(curv[0], 2, m2, m2, 11, cfg.eps)
+        _, _, tau = default_projection_params(sched.segments()[0].L, 2, m2, m2, 11, cfg.eps)
         assert spec.tau == pytest.approx(tau, rel=1e-12)
 
 
@@ -295,6 +299,10 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="transition times"):
             small_config(fixed_times=())
 
+    def test_methods_nonempty(self):
+        with pytest.raises(ValueError, match="experiment.methods must name at least one"):
+            small_config(methods=())
+
 
 @pytest.fixture(scope="module")
 def report():
@@ -347,11 +355,6 @@ class TestRunExperiment:
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError, match="nuts"):
             run_experiment(small_config(methods=("mala", "nuts")))
-
-    def test_zero_methods_gives_empty_report(self):
-        rep = run_experiment(small_config(methods=()))
-        assert rep.rows == [] and rep.samples == {}
-        assert rep.config.methods == ()
 
     def test_mode_masses_attached_for_multimodal_targets(self):
         mix = IsotropicGaussianMixture.ring(4, 2, variance=0.05)
@@ -418,13 +421,12 @@ class TestNfeAudit:
 
     @staticmethod
     def run_unit(config, method, budget, oracle):
-        schedule, curvatures = build_schedule(config)
+        schedule = build_schedule(config)
         rng = np.random.default_rng(3)
         if method == "ddpm":
             return ddpm_run(oracle, config.horizon, budget, config.n_samples, rng)
-        specs = build_specs(config, schedule, method, budget, curvatures)
-        return rtk_run(oracle, schedule, specs, config.n_samples, rng,
-                       init_L=curvatures)[0]
+        specs = build_specs(config, schedule, method, budget)
+        return rtk_run(oracle, schedule, specs, config.n_samples, rng)[0]
 
     @pytest.mark.parametrize("method", METHODS)
     def test_score_rows_match_charged_nfe(self, method):
@@ -468,7 +470,7 @@ class TestEmitCsv:
         assert lines[1].startswith("ddpm,")
 
     def test_write_failure_names_path(self, tmp_path):
-        rep = run_experiment(small_config(methods=()))
+        rep = RunReport(small_config(), [], {})
         target = tmp_path / "missing" / "results.csv"
         with pytest.raises(OSError, match="missing"):
             emit_csv(rep, target)
@@ -489,6 +491,6 @@ class TestEmitPlot:
         assert any("NFE" in (t or "") for t in texts)
 
     def test_empty_report_still_renders(self, tmp_path):
-        rep = run_experiment(small_config(methods=()))
+        rep = RunReport(small_config(), [], {})
         out = emit_plot(rep, tmp_path / "empty.svg")
         ET.fromstring(out.read_text())

@@ -2,6 +2,7 @@
 
 import pytest
 
+from rtkbench import bench
 from rtkbench.bench import config_from_text, config_to_text, paper_preset
 from rtkbench.cli import main
 from rtkbench.metrics import MetricsRow
@@ -142,10 +143,50 @@ class TestBadExperimentValues:
         ("steps.taylor_order = 0", "steps.taylor_order must be >= 1, got 0"),
         ("steps.taylor_dt = 0", "steps.taylor_dt must be positive, got 0"),
         ("schedule.eps = 0", "schedule.eps must lie in (0, 1), got 0"),
+        ("experiment.n_samples = 0", "experiment.n_samples must be >= 1, got 0"),
+        ("experiment.nfe_budgets = 5,3",
+         "experiment.nfe_budgets must be strictly increasing, got (5, 3)"),
+        ("experiment.nfe_budgets = 0,3", "experiment.nfe_budgets must be positive, got (0, 3)"),
+        ("experiment.methods = foo", "experiment.methods: unknown method 'foo'"),
+        ("experiment.methods = ,", "experiment.methods must name at least one method"),
+        ("schedule.kind = bogus", "schedule.kind: unknown schedule kind 'bogus'"),
+        ("schedule.max_outer_steps = 0", "schedule.max_outer_steps must be >= 1, got 0"),
+        ("experiment.master_seed = -1", "experiment.master_seed must be >= 0, got -1"),
+        ("experiment.metric_seed = -1", "experiment.metric_seed must be >= 0, got -1"),
     ])
     def test_bad_value_is_named_in_one_line(self, tmp_path, capsys, line, message):
         err = self.run_one_line_error(tmp_path, capsys, _with_line(line))
         assert message in err
+
+    def test_theory_max_outer_steps(self, tmp_path, capsys):
+        text = _with_line("schedule.max_outer_steps = 0").replace(
+            "schedule.kind = fixed", "schedule.kind = theory")
+        err = self.run_one_line_error(tmp_path, capsys, text)
+        assert "schedule.max_outer_steps must be >= 1, got 0" in err
+
+    def test_negative_seed_override(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(SMALL_CONFIG)
+        code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o"), "--seed", "-1"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == "error: experiment.master_seed must be >= 0, got -1\n"
+
+    def test_budget_below_segment_count_fails_before_any_unit(self, tmp_path, capsys,
+                                                               monkeypatch):
+        calls = []
+        real = bench.ddpm_run
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(bench, "ddpm_run", counting)
+        text = _with_line("schedule.times = 0,0.4,0.8,1.2,1.6").replace(
+            "experiment.nfe_budgets = 12,24", "experiment.nfe_budgets = 3,4")
+        err = self.run_one_line_error(tmp_path, capsys, text)
+        assert "experiment.nfe_budgets = 3 cannot cover the 5 schedule segments" in err
+        assert calls == []
 
     @pytest.mark.parametrize("value", ["abc", "0", "-3"])
     def test_bad_worker_count(self, tmp_path, capsys, monkeypatch, value):

@@ -8,7 +8,6 @@ import pytest
 
 from rtkbench.samplers import (
     ChainState,
-    DdpmSpec,
     MalaSpec,
     UlaSpec,
     UldSpec,
@@ -26,7 +25,7 @@ from rtkbench.samplers import (
     uld_run,
     uld_step,
 )
-from rtkbench.schedule import FixedSchedule, RtkSchedule, make_target
+from rtkbench.schedule import FixedSchedule, mala_init, make_target
 from rtkbench.targets import IsotropicGaussianMixture, ScoreOracle
 
 
@@ -85,7 +84,7 @@ def mixture_target(seed=0, x_prev=None):
         variances=np.array([0.6, 1.3]),
     )
     oracle = ScoreOracle(mix)
-    sched = RtkSchedule.theory(1.5, 2, 0.0, 0.5)
+    sched = FixedSchedule.theory(1.5, 2, 0.0, 0.5)
     rng = np.random.default_rng(seed)
     if x_prev is None:
         x_prev = rng.standard_normal(2)
@@ -379,14 +378,6 @@ class TestMalaRun:
         assert state.accept_count.sum() == 0
         assert set(state.propose_count.tolist()) == {50}
 
-    def test_lazy_halves_proposals(self):
-        target = GaussianTarget(1.0)
-        state = ChainState(np.zeros((2000, 1)), np.random.default_rng(14))
-        mala_run(target, MalaSpec(steps=100, tau=0.05, lazy=True), state)
-        frac = state.propose_count.sum() / (2000 * 100)
-        assert 0.47 < frac < 0.53
-        assert (state.accept_count <= state.propose_count).all()
-
     def test_determinism(self):
         target = mixture_target(seed=15)
         a = ChainState(np.zeros((16, 2)), np.random.default_rng(16))
@@ -521,7 +512,7 @@ class TestRtkRun:
 
     def test_standard_normal_fixed_point_mala(self):
         oracle = self.oracle(1)
-        sched = RtkSchedule.theory(1.0, 1, 0.0, 0.5)
+        sched = FixedSchedule.theory(1.0, 1, 0.0, 0.5)
         state, traces = rtk_run(oracle, sched, MalaSpec(steps=60, tau=0.1),
                                 10_000, np.random.default_rng(22))
         assert abs(state.positions.mean()) <= 0.03
@@ -531,7 +522,7 @@ class TestRtkRun:
 
     def test_standard_normal_fixed_point_ula(self):
         oracle = self.oracle(1)
-        sched = RtkSchedule.theory(1.0, 1, 0.0, 0.5)
+        sched = FixedSchedule.theory(1.0, 1, 0.0, 0.5)
         state, traces = rtk_run(oracle, sched, UlaSpec(steps=80, tau=0.02),
                                 10_000, np.random.default_rng(23))
         assert abs(state.positions.mean()) <= 0.035
@@ -540,7 +531,7 @@ class TestRtkRun:
 
     def test_standard_normal_fixed_point_uld(self):
         oracle = self.oracle(1)
-        sched = RtkSchedule.theory(1.0, 1, 0.0, 0.5)
+        sched = FixedSchedule.theory(1.0, 1, 0.0, 0.5)
         # zero-centered theory init discards x_prev, so each segment must be
         # run to full re-convergence: contraction ~ c/gamma per unit time
         gamma = 2 * math.sqrt(6 * 3.0)
@@ -551,7 +542,7 @@ class TestRtkRun:
 
     def test_nfe_totals(self):
         oracle = self.oracle(2)
-        sched = RtkSchedule.theory(1.0, 2, 0.0, 0.7)
+        sched = FixedSchedule.theory(1.0, 2, 0.0, 0.7)
         k = sched.K
         mala, _ = rtk_run(oracle, sched, MalaSpec(steps=7, tau=0.1),
                           16, np.random.default_rng(25))
@@ -565,7 +556,7 @@ class TestRtkRun:
 
     def test_per_segment_specs_and_errors(self):
         oracle = self.oracle(1)
-        sched = RtkSchedule.theory(1.0, 1, 0.0, 1.0)  # K = 3
+        sched = FixedSchedule.theory(1.0, 1, 0.0, 1.0)  # K = 3
         specs = [MalaSpec(steps=s, tau=0.1) for s in (3, 4, 5)]
         state, traces = rtk_run(oracle, sched, specs, 8, np.random.default_rng(28))
         assert [t.steps for t in traces] == [3, 4, 5]
@@ -573,19 +564,29 @@ class TestRtkRun:
         with pytest.raises(ValueError):
             rtk_run(oracle, sched, specs[:2], 8, np.random.default_rng(28))
         with pytest.raises(TypeError):
-            rtk_run(oracle, sched, DdpmSpec(steps=5), 8, np.random.default_rng(28))
+            rtk_run(oracle, sched, [SimpleNamespace(steps=5)] * 3, 8,
+                    np.random.default_rng(28))
 
     def test_uld_warm_init_on_fixed_schedule(self):
         mix = IsotropicGaussianMixture.ring(12, 10)
         oracle = ScoreOracle(mix)
-        sched = FixedSchedule(times=(0.0, 1.2, 2.4, 3.6, 4.8), horizon=6.0, L=143.0)
+        sched = FixedSchedule(times=(0.0, 1.2, 2.4, 3.6, 4.8), horizon=6.0,
+                              L=[1.1, 1.2, 1.6, 4.3, 143.0])
         spec = UldSpec(steps=5, tau=1e-3, gamma=2 * math.sqrt(6 * 143.0), init="warm")
-        state, traces = rtk_run(oracle, sched, spec, 32, np.random.default_rng(29),
-                                init_L=[1.1, 1.2, 1.6, 4.3, 143.0])
+        state, traces = rtk_run(oracle, sched, spec, 32, np.random.default_rng(29))
         assert np.isfinite(state.positions).all()
         assert len(traces) == 5
-        with pytest.raises(ValueError):
-            rtk_run(oracle, sched, spec, 8, np.random.default_rng(29), init_L=[1.0])
+
+    def test_initialization_uses_each_segments_curvature(self):
+        oracle = self.oracle(2)
+        sched = FixedSchedule(times=(0.0, 0.5), horizon=1.5, L=[7.0, 0.25])
+        state, _ = rtk_run(oracle, sched, MalaSpec(steps=0, tau=0.1), 50,
+                           np.random.default_rng(31))
+        rng = np.random.default_rng(31)
+        x = rng.standard_normal((50, 2))
+        for seg in sched.segments():
+            x = mala_init(seg, x).sample(rng)
+        np.testing.assert_array_equal(state.positions, x)
 
     def test_determinism(self):
         mix = IsotropicGaussianMixture.ring(12, 4, radius=1.0, variance=0.05)

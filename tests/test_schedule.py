@@ -8,8 +8,8 @@ import pytest
 from rtkbench.schedule import (
     FixedSchedule,
     GaussianInit,
-    RtkSchedule,
     RtkTarget,
+    Segment,
     energy_hessian,
     eta_for,
     make_target,
@@ -17,12 +17,7 @@ from rtkbench.schedule import (
     outer_steps,
     uld_init,
 )
-from rtkbench.targets import (
-    IsotropicGaussianMixture,
-    ScoreOracle,
-    estimate_smoothness,
-    score,
-)
+from rtkbench.targets import IsotropicGaussianMixture, ScoreOracle
 
 
 def normal_oracle(dim=1):
@@ -70,40 +65,48 @@ class TestOuterSteps:
 
 class TestSchedules:
     def test_theory_schedule_consistency(self):
-        sched = RtkSchedule.theory(1.0, 10, 0.0, 0.1)
+        sched = FixedSchedule.theory(1.0, 10, 0.0, 0.1)
+        eta = eta_for(1.0)
         assert sched.K == 31
-        assert sched.T == pytest.approx(sched.K * sched.eta, abs=1e-15)
+        assert sched.times == tuple(k * eta for k in range(31))
+        assert sched.horizon == 31 * eta
         segs = sched.segments()
         assert len(segs) == sched.K
-        assert segs[0].t_base == pytest.approx((sched.K - 1) * sched.eta)
+        assert segs[0].t_base == pytest.approx((sched.K - 1) * eta)
         assert segs[-1].t_base == 0.0
-        assert all(s.eta == sched.eta for s in segs)
+        # Lengths are differences of explicit times: eta up to rounding.
+        assert all(s.eta == pytest.approx(eta, rel=1e-12) for s in segs)
+        assert all(s.L == 1.0 for s in segs)
 
     def test_theory_cap(self):
-        sched = RtkSchedule.theory(143.0, 10, 0.0, 0.1, max_outer_steps=64)
+        sched = FixedSchedule.theory(143.0, 10, 0.0, 0.1, max_outer_steps=64)
         assert sched.K == 64
-
-    def test_invariants_enforced(self):
-        with pytest.raises(ValueError):
-            RtkSchedule(L=1.0, eta=0.5, K=3, T=1.5)  # eta != eta_for(L)
-        eta = eta_for(1.0)
-        with pytest.raises(ValueError):
-            RtkSchedule(L=1.0, eta=eta, K=0, T=0.0)
-        with pytest.raises(ValueError):
-            RtkSchedule(L=1.0, eta=eta, K=3, T=5 * eta)
+        with pytest.raises(ValueError, match="max_outer_steps"):
+            FixedSchedule.theory(143.0, 10, 0.0, 0.1, max_outer_steps=0)
 
     def test_fixed_schedule_benchmark_layout(self):
         sched = FixedSchedule(times=(0.0, 1.2, 2.4, 3.6, 4.8), horizon=6.0, L=143.0)
         segs = sched.segments()
         assert [s.t_base for s in segs] == [4.8, 3.6, 2.4, 1.2, 0.0]
         assert all(s.eta == pytest.approx(1.2, abs=1e-12) for s in segs)
-        assert sched.eta == pytest.approx(1.2, abs=1e-12)
+        assert all(s.L == 143.0 for s in segs)
+
+    def test_per_segment_curvature(self):
+        L = [1.1, 1.2, 1.6, 4.3, 143.0]
+        sched = FixedSchedule(times=(0.0, 1.2, 2.4, 3.6, 4.8), horizon=6.0, L=L)
+        assert sched.L == tuple(L)
+        assert [s.L for s in sched.segments()] == L
+        for bad in ([1.0] * 4, [1.0] * 6, [1.0, 1.0, 0.0, 1.0, 1.0], [1.0, -2.0, 1.0, 1.0, 1.0]):
+            with pytest.raises(ValueError):
+                FixedSchedule(times=(0.0, 1.2, 2.4, 3.6, 4.8), horizon=6.0, L=bad)
+        for bad in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError, match="L must be positive"):
+                FixedSchedule(times=(0.0, 1.2), horizon=6.0, L=bad)
 
     def test_fixed_schedule_empty(self):
         sched = FixedSchedule(times=(), horizon=6.0, L=1.0)
         assert sched.segments() == ()
-        with pytest.raises(ValueError):
-            _ = sched.eta
+        assert FixedSchedule(times=(), horizon=6.0, L=()).segments() == ()
 
     def test_fixed_schedule_validation(self):
         with pytest.raises(ValueError):
@@ -118,23 +121,23 @@ class TestRtkTarget:
     def test_stationary_point_standard_normal(self):
         # For f_t(z) = ||z||^2/2 the energy minimum sits at e^(-eta) x_prev.
         oracle = normal_oracle(3)
-        sched = RtkSchedule.theory(1.0, 3, 0.0, 0.5)
+        sched = FixedSchedule.theory(1.0, 3, 0.0, 0.5)
         x_prev = np.array([0.7, -1.1, 0.4])
         target = make_target(oracle, sched, 2, x_prev)
-        zstar = math.exp(-sched.eta) * x_prev
+        zstar = math.exp(-sched.segments()[2].eta) * x_prev
         np.testing.assert_allclose(target.grad_energy(zstar), 0.0, atol=1e-12)
 
     def test_hessian_is_one_plus_two_L(self):
         oracle = normal_oracle(2)
         for L in [0.5, 1.0, 3.0]:
-            sched = RtkSchedule.theory(L, 2, 0.0, 0.5)
+            sched = FixedSchedule.theory(L, 2, 0.0, 0.5)
             target = make_target(oracle, sched, 0, np.array([0.3, 0.9]))
             h = energy_hessian(target, np.array([0.1, -0.2]))
             np.testing.assert_allclose(h, (1 + 2 * L) * np.eye(2), atol=1e-6)
 
     def test_energy_diff_identity_is_zero(self):
         oracle = normal_oracle(2)
-        sched = RtkSchedule.theory(1.0, 2, 0.0, 0.5)
+        sched = FixedSchedule.theory(1.0, 2, 0.0, 0.5)
         target = make_target(oracle, sched, 0, np.array([0.3, 0.9]))
         z = np.array([0.5, -0.7])
         assert target.energy_diff(z, z) == 0.0
@@ -184,7 +187,7 @@ class TestRtkTarget:
 
     def test_segment_index_bounds(self):
         oracle = normal_oracle(1)
-        sched = RtkSchedule.theory(1.0, 1, 0.0, 0.5)
+        sched = FixedSchedule.theory(1.0, 1, 0.0, 0.5)
         with pytest.raises(ValueError):
             make_target(oracle, sched, sched.K, np.zeros(1))
         with pytest.raises(ValueError):
@@ -196,10 +199,9 @@ class TestMalaInit:
         # init pdf must be proportional to exp(-L||z||^2 - ||x0 - e^-eta z||^2/(2(1-e^-2eta)))
         rng = np.random.default_rng(3)
         for L, eta in [(0.5, None), (1.0, None), (143.0, None), (2.0, 1.2)]:
-            sched = RtkSchedule.theory(L, 4, 0.0, 0.5)
-            eta_val = sched.eta if eta is None else eta
+            eta_val = eta_for(L) if eta is None else eta
             x0 = rng.standard_normal(4)
-            init = mala_init(sched, x0, eta=eta)
+            init = mala_init(Segment(0, 0.0, eta_val, L), x0)
             z = init.mean + rng.standard_normal((100, 4))
             em2 = math.exp(-2 * eta_val)
             target_exp = (-L * (z ** 2).sum(axis=1)
@@ -209,15 +211,15 @@ class TestMalaInit:
             assert np.max(np.abs(diff - diff.mean())) < 1e-9
 
     def test_frozen_half_L_case(self):
-        sched = RtkSchedule.theory(0.5, 2, 0.0, 0.5)
+        seg = FixedSchedule.theory(0.5, 2, 0.0, 0.5).segments()[-1]
         x0 = np.array([1.0, -2.0])
-        init = mala_init(sched, x0)
+        init = mala_init(seg, x0)
         assert init.variance == pytest.approx(0.5, abs=1e-14)
-        np.testing.assert_allclose(init.mean, math.exp(-sched.eta) * x0, atol=1e-14)
+        np.testing.assert_allclose(init.mean, math.exp(-seg.eta) * x0, atol=1e-14)
 
     def test_zero_x_prev_is_centered(self):
-        sched = RtkSchedule.theory(3.0, 2, 0.0, 0.5)
-        init = mala_init(sched, np.zeros(2))
+        seg = FixedSchedule.theory(3.0, 2, 0.0, 0.5).segments()[-1]
+        init = mala_init(seg, np.zeros(2))
         np.testing.assert_array_equal(init.mean, 0.0)
         assert init.variance == pytest.approx(1.0 / 12.0, rel=1e-12)
 
@@ -231,42 +233,22 @@ class TestMalaInit:
 
 class TestUldInit:
     def test_half_L_variance_is_one(self):
-        sched = RtkSchedule.theory(0.5, 1, 0.0, 0.5)
-        assert math.expm1(2 * sched.eta) == pytest.approx(1.0, abs=1e-12)
-        z, v = uld_init(sched, (200_000,), np.random.default_rng(0))
+        seg = FixedSchedule.theory(0.5, 1, 0.0, 0.5).segments()[-1]
+        assert math.expm1(2 * seg.eta) == pytest.approx(1.0, abs=1e-12)
+        z, v = uld_init(seg, (200_000,), np.random.default_rng(0))
         assert z.var() == pytest.approx(1.0, abs=3 * math.sqrt(2 / z.size) * 1.0)
         assert v.var() == pytest.approx(1.0, abs=3 * math.sqrt(2 / v.size))
 
     def test_position_velocity_independent(self):
-        sched = RtkSchedule.theory(1.0, 1, 0.0, 0.5)
-        z, v = uld_init(sched, (100_000,), np.random.default_rng(1))
+        seg = FixedSchedule.theory(1.0, 1, 0.0, 0.5).segments()[-1]
+        z, v = uld_init(seg, (100_000,), np.random.default_rng(1))
         corr = np.corrcoef(z, v)[0, 1]
         assert abs(corr) <= 0.02
 
     def test_theory_variance_formula(self):
         for L in [0.5, 2.0, 50.0]:
-            sched = RtkSchedule.theory(L, 1, 0.0, 0.5)
-            assert math.expm1(2 * sched.eta) == pytest.approx(1 / (2 * L), rel=1e-12)
-
-
-class TestStrongLogConcavityWindow:
-    def test_preset_mixture_targets_within_window(self):
-        mix = IsotropicGaussianMixture.ring(12, 10)
-        oracle = ScoreOracle(mix)
-        grad0 = float(np.linalg.norm(score(mix, 0.0, np.zeros(10))))
-        est = estimate_smoothness(oracle, [0.0], probes=16,
-                                  rng=np.random.default_rng(0))
-        L = est.value
-        sched = RtkSchedule.theory(L, 10, grad0, 0.1, max_outer_steps=64)
-        probe_pts = est.probes[0][1]
-        rng = np.random.default_rng(1)
-        for k in [0, sched.K // 2, sched.K - 1]:
-            target = make_target(oracle, sched, k, rng.standard_normal(10))
-            for i in range(3):
-                h = energy_hessian(target, probe_pts[rng.integers(len(probe_pts))])
-                eigs = np.linalg.eigvalsh(h)
-                assert eigs.min() >= 0.99 * L
-                assert eigs.max() <= 3.03 * L
+            for seg in FixedSchedule.theory(L, 1, 0.0, 0.5).segments():
+                assert math.expm1(2 * seg.eta) == pytest.approx(1 / (2 * L), rel=1e-12)
 
 
 class TestBayesConsistencyClosedForm:
@@ -276,11 +258,12 @@ class TestBayesConsistencyClosedForm:
         # returns exactly N(0, I), i.e. p_t = int p_(t|t') p_t' dx'.
         oracle = normal_oracle(1)
         for L in [0.5, 1.0, 4.0]:
-            sched = RtkSchedule.theory(L, 1, 0.0, 0.5)
+            sched = FixedSchedule.theory(L, 1, 0.0, 0.5)
             x0 = np.array([0.83])
             target = make_target(oracle, sched, 0, x0)
-            em2 = math.exp(-2 * sched.eta)
-            mean = math.exp(-sched.eta) * x0
+            eta = sched.segments()[0].eta
+            em2 = math.exp(-2 * eta)
+            mean = math.exp(-eta) * x0
             var = 1 - em2
             np.testing.assert_allclose(target.grad_energy(mean), 0.0, atol=1e-12)
             h = energy_hessian(target, np.array([0.2]))

@@ -14,9 +14,7 @@ from rtkbench import targets
 from rtkbench.targets import (
     IsotropicGaussianMixture,
     ScoreOracle,
-    estimate_smoothness,
     forward_marginal,
-    hessian_log_density,
     log_density,
     sample_base,
     score,
@@ -594,33 +592,3 @@ class TestFarErrorCells:
         assert abs(got[0]) == 0.5 and got[1] == 0.0 and got[2] == 0.0
         np.testing.assert_array_equal(got, -rev)
 
-
-class TestEstimateSmoothness:
-    def test_standard_normal(self):
-        oracle = ScoreOracle(IsotropicGaussianMixture.standard_normal(3))
-        est = estimate_smoothness(oracle, [0.0, 0.5], probes=16,
-                                  rng=np.random.default_rng(0))
-        assert est.value == pytest.approx(1.0, abs=1e-3)
-        assert float(est) == est.value
-
-    def test_single_gaussian_half_variance(self):
-        mix = IsotropicGaussianMixture([1.0], [[0.0, 0.0]], [0.5])
-        est = estimate_smoothness(mix, [0.0], probes=8, rng=np.random.default_rng(1))
-        assert est.value == pytest.approx(2.0, abs=1e-3)
-
-    def test_decays_toward_one_at_large_time(self):
-        mix = preset_ring()
-        est = estimate_smoothness(mix, [12.0], probes=8, rng=np.random.default_rng(2))
-        assert est.value == pytest.approx(1.0, abs=1e-2)
-
-    def test_preset_mixture_at_data_time(self):
-        # on-mode curvature is 1/s2; probes include the means so this is a floor
-        mix = preset_ring()
-        est = estimate_smoothness(mix, [0.0], probes=32, rng=np.random.default_rng(3))
-        assert est.value >= 1.0 / 0.007 - 1.0
-        assert est.probes[0][1].shape[1] == 10
-
-    def test_hessian_standard_normal(self):
-        mix = IsotropicGaussianMixture.standard_normal(2)
-        h = hessian_log_density(mix, 0.0, np.array([0.4, -0.2]))
-        np.testing.assert_allclose(h, -np.eye(2), atol=1e-6)
