@@ -12,7 +12,7 @@ import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -54,43 +54,84 @@ __all__ = [
 ]
 
 
+# Named range rules for config values: (test, wording of the failure).
+_CHECKS = {
+    ">= 0": (lambda v: v >= 0, "must be >= 0"),
+    ">= 1": (lambda v: v >= 1, "must be >= 1"),
+    ">= 2": (lambda v: v >= 2, "must be >= 2"),
+    "> 0": (lambda v: v > 0, "must be positive"),
+    "(0, 1)": (lambda v: 0 < v < 1, "must lie in (0, 1)"),
+    "finite > 0": (lambda v: 0 < v < math.inf, "must be finite and positive"),
+    "int64": (lambda v: -2**63 <= v < 2**63, "must fit in a signed 64-bit integer"),
+}
+
+
+def _check(key: str, value, rule: str | None) -> None:
+    """Apply a named range rule, then require every float to be finite.
+
+    The range rule runs first, so a NaN fails with the rule's own wording.
+    """
+    if value is None:
+        return
+    if rule is not None:
+        test, wording = _CHECKS[rule]
+        if not test(value):
+            raise ValueError(f"{key} {wording}, got {value}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"{key} must be finite, got {value}")
+
+
+def _key(key: str, default, check: str | None = None):
+    """An ExperimentConfig field declared as config key `key`."""
+    return field(default=default, metadata={"key": key, "check": check})
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything a benchmark run depends on, in one immutable record."""
+    """Everything a benchmark run depends on, in one immutable record.
+
+    Each field after mixture declares its config key and range rule; the
+    text format reads and writes the keys in field order.
+    """
 
     mixture: IsotropicGaussianMixture
-    horizon: float = 6.0
-    methods: tuple[str, ...] = METHODS
-    nfe_budgets: tuple[int, ...] = (50, 100, 250, 500, 1000)
-    n_samples: int = 2000
-    master_seed: int = 0
-    reference_size: int = 100_000
-    bins_per_dim: int = 100
-    metric_seed: int = 1_000_003
-    schedule_kind: str = "fixed"
-    fixed_times: tuple[float, ...] = ()
-    eps: float = 0.1
-    max_outer_steps: int = 64
-    score_error: float = 0.0
-    energy_error: float = 0.0
-    error_seed: int = 0
-    error_cell: float = 1e-6
-    tau_multiplier: float = 1.0
-    tau_cap: float = 0.4
-    uld_tau_scale: float = 1.0
-    uld_gamma_scale: float = 1.0
-    taylor_order: int = 2
-    taylor_dt: float | None = None
-    record_wall: bool = True
-    output_dir: str = "."
+    horizon: float = _key("experiment.horizon", 6.0, "finite > 0")
+    methods: tuple[str, ...] = _key("experiment.methods", METHODS)
+    nfe_budgets: tuple[int, ...] = _key("experiment.nfe_budgets", (50, 100, 250, 500, 1000))
+    n_samples: int = _key("experiment.n_samples", 2000, ">= 1")
+    master_seed: int = _key("experiment.master_seed", 0, ">= 0")
+    reference_size: int = _key("experiment.reference_size", 100_000, ">= 1")
+    bins_per_dim: int = _key("experiment.bins_per_dim", 100, ">= 1")
+    metric_seed: int = _key("experiment.metric_seed", 1_000_003, ">= 0")
+    record_wall: bool = _key("experiment.record_wall", True)
+    schedule_kind: str = _key("schedule.kind", "fixed")
+    fixed_times: tuple[float, ...] = _key("schedule.times", ())
+    eps: float = _key("schedule.eps", 0.1, "(0, 1)")
+    max_outer_steps: int = _key("schedule.max_outer_steps", 64, ">= 1")
+    score_error: float = _key("oracle.score_error", 0.0, ">= 0")
+    energy_error: float = _key("oracle.energy_error", 0.0, ">= 0")
+    error_seed: int = _key("oracle.error_seed", 0, "int64")
+    error_cell: float = _key("oracle.error_cell", 1e-6, "> 0")
+    tau_multiplier: float = _key("steps.tau_multiplier", 1.0, "> 0")
+    tau_cap: float = _key("steps.tau_cap", 0.4, "> 0")
+    uld_tau_scale: float = _key("steps.uld_tau_scale", 1.0, "> 0")
+    uld_gamma_scale: float = _key("steps.uld_gamma_scale", 1.0, "> 0")
+    taylor_order: int = _key("steps.taylor_order", 2, ">= 1")
+    taylor_dt: float | None = _key("steps.taylor_dt", None, "> 0")
+    # A deployment path that `rtkbench run --out` overrides; never written.
+    output_dir: str = _key("experiment.output_dir", ".")
 
     def __post_init__(self):
+        for f in fields(self)[1:]:
+            _check(f.metadata["key"], getattr(self, f.name), f.metadata["check"])
         if not self.methods:
             raise ValueError("experiment.methods must name at least one method")
-        for m in self.methods:
+        for i, m in enumerate(self.methods):
             if m not in METHODS:
                 raise ValueError(f"experiment.methods: unknown method {m!r}; "
                                  f"expected one of {METHODS}")
+            if m in self.methods[:i]:
+                raise ValueError(f"experiment.methods: duplicate method {m!r}")
         if not self.nfe_budgets:
             raise ValueError("experiment.nfe_budgets must be nonempty")
         if any(b <= a for a, b in zip(self.nfe_budgets, self.nfe_budgets[1:])):
@@ -98,48 +139,18 @@ class ExperimentConfig:
                              f"got {self.nfe_budgets}")
         if min(self.nfe_budgets) < 1:
             raise ValueError(f"experiment.nfe_budgets must be positive, got {self.nfe_budgets}")
-        if self.n_samples < 1:
-            raise ValueError(f"experiment.n_samples must be >= 1, got {self.n_samples}")
         if self.schedule_kind not in ("fixed", "theory"):
             raise ValueError(f"schedule.kind: unknown schedule kind {self.schedule_kind!r}; "
                              "expected 'fixed' or 'theory'")
         if self.schedule_kind == "fixed" and not self.fixed_times:
             raise ValueError("schedule.times is empty: a fixed schedule needs transition times")
-        if self.max_outer_steps < 1:
-            raise ValueError(f"schedule.max_outer_steps must be >= 1, got {self.max_outer_steps}")
-        if not (0.0 < self.horizon < math.inf):
-            raise ValueError(f"experiment.horizon must be finite and positive, got {self.horizon}")
-        if self.schedule_kind == "fixed" and not (self.horizon > max(self.fixed_times)):
-            raise ValueError(f"experiment.horizon = {self.horizon} must exceed the last "
-                             f"schedule.times entry {max(self.fixed_times)}")
-        if self.reference_size < 1:
-            raise ValueError(f"experiment.reference_size must be >= 1, got {self.reference_size}")
-        if self.bins_per_dim < 1:
-            raise ValueError(f"experiment.bins_per_dim must be >= 1, got {self.bins_per_dim}")
-        if not (self.tau_cap > 0):
-            raise ValueError(f"steps.tau_cap must be positive, got {self.tau_cap}")
         if not all(t >= 0 for t in self.fixed_times):
             raise ValueError(f"schedule.times must be >= 0, got {self.fixed_times}")
         if not all(b > a for a, b in zip(self.fixed_times, self.fixed_times[1:])):
             raise ValueError(f"schedule.times must be strictly ascending, got {self.fixed_times}")
-        if not (0.0 < self.eps < 1.0):
-            raise ValueError(f"schedule.eps must lie in (0, 1), got {self.eps}")
-        for key, value in (("experiment.master_seed", self.master_seed),
-                           ("experiment.metric_seed", self.metric_seed),
-                           ("oracle.score_error", self.score_error),
-                           ("oracle.energy_error", self.energy_error)):
-            if not (value >= 0):
-                raise ValueError(f"{key} must be >= 0, got {value}")
-        for key, value in (("oracle.error_cell", self.error_cell),
-                           ("steps.tau_multiplier", self.tau_multiplier),
-                           ("steps.uld_tau_scale", self.uld_tau_scale),
-                           ("steps.uld_gamma_scale", self.uld_gamma_scale)):
-            if not (value > 0):
-                raise ValueError(f"{key} must be positive, got {value}")
-        if self.taylor_order < 1:
-            raise ValueError(f"steps.taylor_order must be >= 1, got {self.taylor_order}")
-        if self.taylor_dt is not None and not (self.taylor_dt > 0):
-            raise ValueError(f"steps.taylor_dt must be positive, got {self.taylor_dt}")
+        if self.schedule_kind == "fixed" and not (self.horizon > max(self.fixed_times)):
+            raise ValueError(f"experiment.horizon = {self.horizon} must exceed the last "
+                             f"schedule.times entry {max(self.fixed_times)}")
 
 
 @dataclass
@@ -405,12 +416,8 @@ def parse_kv_text(text: str, origin: str = "<config>") -> dict[str, str]:
     return out
 
 
-def _floats(value: str) -> tuple[float, ...]:
-    return tuple(float(v) for v in value.split(",") if v.strip() != "")
-
-
-def _ints(value: str) -> tuple[int, ...]:
-    return tuple(int(v) for v in value.split(",") if v.strip() != "")
+def _items(value: str) -> list[str]:
+    return [v.strip() for v in value.split(",") if v.strip()]
 
 
 def _bool(value: str, key: str) -> bool:
@@ -420,6 +427,26 @@ def _bool(value: str, key: str) -> bool:
     if low in _FALSE:
         return False
     raise ValueError(f"{key}: cannot read boolean from {value!r}")
+
+
+# Value parsers keyed by the annotation of the field a key declares.
+_PARSERS = {
+    "float": float,
+    "float | None": float,
+    "int": int,
+    "str": str,
+    "tuple[float, ...]": lambda v: tuple(float(x) for x in _items(v)),
+    "tuple[int, ...]": lambda v: tuple(int(x) for x in _items(v)),
+    "tuple[str, ...]": lambda v: tuple(_items(v)),
+}
+
+
+def _read(key: str, text: str, annotation: str, origin: str):
+    """Parse one config value by field type, naming the key on failure."""
+    try:
+        return _PARSERS[annotation](text)
+    except ValueError as exc:
+        raise ValueError(f"{origin}: bad value for {key}: {text!r}") from exc
 
 
 def mixture_from_mapping(kv: dict[str, str], origin: str = "<config>",
@@ -437,58 +464,30 @@ def mixture_from_mapping(kv: dict[str, str], origin: str = "<config>",
     if kind is None:
         raise ValueError(f"{origin}: missing mixture.kind (or mixture.file)")
 
-    def value(key: str, conv, default: str | None = None):
+    def value(key: str, annotation: str, check: str | None = None,
+              default: str | None = None):
         if key not in kv and default is None:
             raise ValueError(f"{origin}: mixture.kind = {kind} needs {key}")
-        text = kv.get(key, default)
-        try:
-            return conv(text)
-        except ValueError as exc:
-            raise ValueError(f"{origin}: bad value for {key}: {text!r}") from exc
+        parsed = _read(key, kv.get(key, default), annotation, origin)
+        _check(key, parsed, check)
+        return parsed
 
     if kind == "standard_normal":
-        return IsotropicGaussianMixture.standard_normal(value("mixture.dim", int))
+        return IsotropicGaussianMixture.standard_normal(value("mixture.dim", "int", ">= 1"))
     if kind == "ring":
         return IsotropicGaussianMixture.ring(
-            value("mixture.components", int, "12"),
-            value("mixture.dim", int, "10"),
-            radius=value("mixture.radius", float, "1.0"),
-            variance=value("mixture.variance", float, "0.007"),
+            value("mixture.components", "int", ">= 1", "12"),
+            value("mixture.dim", "int", ">= 2", "10"),
+            radius=value("mixture.radius", "float", ">= 0", "1.0"),
+            variance=value("mixture.variance", "float", "> 0", "0.007"),
         )
     if kind == "explicit":
-        weights = np.array(value("mixture.weights", _floats))
-        variances = np.array(value("mixture.variances", _floats))
-        means = [value(f"mixture.means.{i}", _floats) for i in range(len(weights))]
+        floats = "tuple[float, ...]"
+        weights = np.array(value("mixture.weights", floats))
+        variances = np.array(value("mixture.variances", floats))
+        means = [value(f"mixture.means.{i}", floats) for i in range(len(weights))]
         return IsotropicGaussianMixture(weights, np.array(means), variances)
     raise ValueError(f"{origin}: unknown mixture.kind {kind!r}")
-
-
-_CONFIG_KEYS = {
-    "experiment.horizon": ("horizon", float),
-    "experiment.methods": ("methods", lambda v: tuple(m.strip() for m in v.split(",") if m.strip())),
-    "experiment.nfe_budgets": ("nfe_budgets", _ints),
-    "experiment.n_samples": ("n_samples", int),
-    "experiment.master_seed": ("master_seed", int),
-    "experiment.reference_size": ("reference_size", int),
-    "experiment.bins_per_dim": ("bins_per_dim", int),
-    "experiment.metric_seed": ("metric_seed", int),
-    "experiment.record_wall": ("record_wall", None),
-    "experiment.output_dir": ("output_dir", str),
-    "schedule.kind": ("schedule_kind", str),
-    "schedule.times": ("fixed_times", _floats),
-    "schedule.eps": ("eps", float),
-    "schedule.max_outer_steps": ("max_outer_steps", int),
-    "oracle.score_error": ("score_error", float),
-    "oracle.energy_error": ("energy_error", float),
-    "oracle.error_seed": ("error_seed", int),
-    "oracle.error_cell": ("error_cell", float),
-    "steps.tau_multiplier": ("tau_multiplier", float),
-    "steps.tau_cap": ("tau_cap", float),
-    "steps.uld_tau_scale": ("uld_tau_scale", float),
-    "steps.uld_gamma_scale": ("uld_gamma_scale", float),
-    "steps.taylor_order": ("taylor_order", int),
-    "steps.taylor_dt": ("taylor_dt", float),
-}
 
 
 def config_from_text(text: str, origin: str = "<config>",
@@ -496,21 +495,16 @@ def config_from_text(text: str, origin: str = "<config>",
     """Parse a flat key/value config document into an ExperimentConfig."""
     kv = parse_kv_text(text, origin=origin)
     mixture = mixture_from_mapping(kv, origin=origin, base_dir=base_dir)
-    fields: dict = {"mixture": mixture}
-    for key, value in kv.items():
+    declared = {f.metadata["key"]: f for f in fields(ExperimentConfig)[1:]}
+    values: dict = {"mixture": mixture}
+    for key, raw in kv.items():
         if key.startswith("mixture."):
             continue
-        if key not in _CONFIG_KEYS:
+        if key not in declared:
             raise ValueError(f"{origin}: unknown config key {key!r}")
-        name, conv = _CONFIG_KEYS[key]
-        if name == "record_wall":
-            fields[name] = _bool(value, key)
-        else:
-            try:
-                fields[name] = conv(value)
-            except ValueError as exc:
-                raise ValueError(f"{origin}: bad value for {key}: {value!r}") from exc
-    return ExperimentConfig(**fields)
+        f = declared[key]
+        values[f.name] = _bool(raw, key) if f.type == "bool" else _read(key, raw, f.type, origin)
+    return ExperimentConfig(**values)
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -522,39 +516,28 @@ def load_config(path: str | Path) -> ExperimentConfig:
     return config_from_text(text, origin=str(path), base_dir=path.parent)
 
 
+def _format(value) -> str:
+    if isinstance(value, tuple):
+        return ",".join(_format(v) for v in value)
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return f"{value:.10g}"
+    return str(value)
+
+
 def config_to_text(config: ExperimentConfig) -> str:
-    """Serialize a config (with an inline mixture) back to the flat format."""
+    """Serialize a config (with an inline mixture) back to the flat format.
+
+    Keys follow field order; unset values (None, an empty tuple) and the
+    output directory are left out.
+    """
     mix = config.mixture
-    lines = [
-        "# rtkbench experiment configuration",
-        f"experiment.horizon = {config.horizon:.10g}",
-        "experiment.methods = " + ",".join(config.methods),
-        "experiment.nfe_budgets = " + ",".join(str(b) for b in config.nfe_budgets),
-        f"experiment.n_samples = {config.n_samples}",
-        f"experiment.master_seed = {config.master_seed}",
-        f"experiment.reference_size = {config.reference_size}",
-        f"experiment.bins_per_dim = {config.bins_per_dim}",
-        f"experiment.metric_seed = {config.metric_seed}",
-        f"experiment.record_wall = {'true' if config.record_wall else 'false'}",
-        f"schedule.kind = {config.schedule_kind}",
-    ]
-    if config.schedule_kind == "fixed":
-        lines.append("schedule.times = " + ",".join(f"{t:.10g}" for t in config.fixed_times))
-    lines += [
-        f"schedule.eps = {config.eps:.10g}",
-        f"schedule.max_outer_steps = {config.max_outer_steps}",
-        f"oracle.score_error = {config.score_error:.10g}",
-        f"oracle.energy_error = {config.energy_error:.10g}",
-        f"oracle.error_seed = {config.error_seed}",
-        f"oracle.error_cell = {config.error_cell:.10g}",
-        f"steps.tau_multiplier = {config.tau_multiplier:.10g}",
-        f"steps.tau_cap = {config.tau_cap:.10g}",
-        f"steps.uld_tau_scale = {config.uld_tau_scale:.10g}",
-        f"steps.uld_gamma_scale = {config.uld_gamma_scale:.10g}",
-        f"steps.taylor_order = {config.taylor_order}",
-    ]
-    if config.taylor_dt is not None:
-        lines.append(f"steps.taylor_dt = {config.taylor_dt:.10g}")
+    lines = ["# rtkbench experiment configuration"]
+    for f in fields(config)[1:]:
+        value = getattr(config, f.name)
+        if value is not None and value != () and f.name != "output_dir":
+            lines.append(f"{f.metadata['key']} = {_format(value)}")
     w = np.asarray(mix.weights)
     uniform_ring = _looks_like_ring(mix)
     if uniform_ring:

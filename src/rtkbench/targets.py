@@ -88,6 +88,8 @@ class IsotropicGaussianMixture:
         """Equal-weight components on a circle in the first two coordinates."""
         if dim < 2:
             raise ValueError("ring mixture needs dim >= 2")
+        if n_components < 1:
+            raise ValueError("ring mixture needs n_components >= 1")
         angles = 2.0 * np.pi * np.arange(n_components) / n_components
         means = np.zeros((n_components, dim))
         means[:, 0] = radius * np.cos(angles)
@@ -370,6 +372,8 @@ class ScoreOracle:
             raise ValueError("error magnitudes must be >= 0")
         if not (self.error_cell > 0):
             raise ValueError("error_cell must be positive")
+        if not (-2**63 <= self.error_seed < 2**63):
+            raise ValueError("error_seed must fit in a signed 64-bit integer")
 
     @property
     def dim(self) -> int:

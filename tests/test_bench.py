@@ -1,9 +1,12 @@
 """Benchmark harness tests: allocation, config text format, runs, outputs."""
 
+import importlib
 import math
+import sys
 import warnings
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -272,6 +275,20 @@ class TestConfigText:
         cfg = load_config(cfg_file)
         assert cfg.mixture.n_components == 4
         assert cfg.mixture.dim == 3
+
+    def test_preset_keys_match_perfbench_workloads(self, monkeypatch):
+        # perfbench/workloads.py copies the preset's key = value lines in
+        # order; it is read as it stands and nothing is written there.
+        monkeypatch.setattr(sys, "dont_write_bytecode", True)
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        sys.modules.pop("workloads", None)
+        try:
+            preset = importlib.import_module("workloads").PRESET
+        finally:
+            sys.modules.pop("workloads", None)
+        lines = [line for line in config_to_text(paper_preset()).splitlines()
+                 if not line.startswith("#")]
+        assert lines == [f"{key} = {value}" for key, value in preset.items()]
 
     def test_missing_config_file(self, tmp_path):
         with pytest.raises(ValueError, match="cannot read config"):

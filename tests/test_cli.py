@@ -153,9 +153,26 @@ class TestBadExperimentValues:
         ("schedule.max_outer_steps = 0", "schedule.max_outer_steps must be >= 1, got 0"),
         ("experiment.master_seed = -1", "experiment.master_seed must be >= 0, got -1"),
         ("experiment.metric_seed = -1", "experiment.metric_seed must be >= 0, got -1"),
+        ("oracle.score_error = inf", "oracle.score_error must be finite, got inf"),
+        ("steps.uld_tau_scale = inf", "steps.uld_tau_scale must be finite, got inf"),
+        ("oracle.energy_error = inf", "oracle.energy_error must be finite, got inf"),
+        ("oracle.error_seed = 99999999999999999999",
+         "oracle.error_seed must fit in a signed 64-bit integer, got 99999999999999999999"),
+        ("experiment.methods = mala,mala", "experiment.methods: duplicate method 'mala'"),
     ])
     def test_bad_value_is_named_in_one_line(self, tmp_path, capsys, line, message):
         err = self.run_one_line_error(tmp_path, capsys, _with_line(line))
+        assert message in err
+
+    @pytest.mark.parametrize("line, message", [
+        ("mixture.components = 0", "mixture.components must be >= 1, got 0"),
+        ("mixture.dim = 1", "mixture.dim must be >= 2, got 1"),
+        ("mixture.variance = 0", "mixture.variance must be positive, got 0.0"),
+        ("mixture.radius = nan", "mixture.radius must be >= 0, got nan"),
+    ])
+    def test_bad_ring_value_is_named_in_one_line(self, tmp_path, capsys, line, message):
+        text = _with_line(line).replace("mixture.kind = standard_normal", "mixture.kind = ring")
+        err = self.run_one_line_error(tmp_path, capsys, text)
         assert message in err
 
     def test_theory_max_outer_steps(self, tmp_path, capsys):

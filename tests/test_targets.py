@@ -53,6 +53,10 @@ class TestMixtureConstruction:
         with pytest.raises(ValueError):
             mix.weights[0] = 0.3
 
+    def test_ring_needs_a_component(self):
+        with pytest.raises(ValueError, match="n_components >= 1"):
+            IsotropicGaussianMixture.ring(0, 2)
+
     def test_ring_geometry(self):
         mix = preset_ring()
         assert mix.dim == 10 and mix.n_components == 12
@@ -345,6 +349,16 @@ class TestSampleBase:
 
 
 class TestScoreOracle:
+    @pytest.mark.parametrize("seed", [2**63, -2**63 - 1])
+    def test_error_seed_outside_int64_rejected(self, seed):
+        with pytest.raises(ValueError, match="error_seed must fit in a signed 64-bit"):
+            ScoreOracle(two_comp_1d(), score_error=1.0, error_seed=seed)
+
+    @pytest.mark.parametrize("seed", [2**63 - 1, -2**63])
+    def test_error_seed_at_int64_limits_scores(self, seed):
+        oracle = ScoreOracle(two_comp_1d(), score_error=1.0, error_seed=seed)
+        assert np.isfinite(oracle.score(0.5, np.zeros((3, 1)))).all()
+
     def test_zero_error_is_exact(self):
         mix = preset_ring()
         oracle = ScoreOracle(mix)
