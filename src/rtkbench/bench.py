@@ -300,18 +300,17 @@ def _run_unit(config: ExperimentConfig, oracle: ScoreOracle, schedule,
     start = time.perf_counter()
     if method == "ddpm":
         state = ddpm_run(oracle, config.horizon, budget, config.n_samples, unit_rng)
-        clamps = 0
     else:
         specs = build_specs(config, schedule, method, budget)
         state, _ = rtk_run(oracle, schedule, specs, config.n_samples, unit_rng)
-        clamps = state.noise_clamps
     wall = (time.perf_counter() - start) * 1000.0 if config.record_wall else 0.0
+    nfe = state.nfe // config.n_samples
     x = state.positions
     mix = config.mixture
     modes = tuple(mode_mass(x, mix)) if mix.n_components > 1 else None
     row = MetricsRow(
         method=method,
-        nfe=int(state.nfe.max()),
+        nfe=nfe,
         seed=config.master_seed,
         marginal_accuracy=marginal_accuracy(x, reference, config.bins_per_dim),
         second_moment=second_moment(x),
@@ -329,12 +328,12 @@ def _run_unit(config: ExperimentConfig, oracle: ScoreOracle, schedule,
     far = int((finite & ~(sq <= DIVERGED_FACTOR * mix.second_moment())).sum())
     if far:
         warn.append(f"{method}@{budget}: {far} of {x.shape[0]} chains diverged")
-    if clamps:
-        warn.append(f"{method}@{budget}: clamped ULD noise covariance {clamps}x")
-    if row.nfe < 1:
+    if state.noise_clamps:
+        warn.append(f"{method}@{budget}: clamped ULD noise covariance {state.noise_clamps}x")
+    if nfe < 1:
         warn.append(f"{method}@{budget}: realized 0 NFE; left out of the log-scale plot")
-    if int(state.nfe.max()) > budget:
-        warn.append(f"{method}@{budget}: realized NFE {int(state.nfe.max())} over budget")
+    if nfe > budget:
+        warn.append(f"{method}@{budget}: realized NFE {nfe} over budget")
     return row, x, warn
 
 
@@ -469,7 +468,8 @@ def mixture_from_mapping(kv: dict[str, str], origin: str = "<config>",
         if key not in kv and default is None:
             raise ValueError(f"{origin}: mixture.kind = {kind} needs {key}")
         parsed = _read(key, kv.get(key, default), annotation, origin)
-        _check(key, parsed, check)
+        for entry in parsed if isinstance(parsed, tuple) else (parsed,):
+            _check(key, entry, check)
         return parsed
 
     if kind == "standard_normal":
@@ -483,10 +483,14 @@ def mixture_from_mapping(kv: dict[str, str], origin: str = "<config>",
         )
     if kind == "explicit":
         floats = "tuple[float, ...]"
-        weights = np.array(value("mixture.weights", floats))
-        variances = np.array(value("mixture.variances", floats))
+        weights = value("mixture.weights", floats, ">= 0")
+        variances = value("mixture.variances", floats, "> 0")
         means = [value(f"mixture.means.{i}", floats) for i in range(len(weights))]
-        return IsotropicGaussianMixture(weights, np.array(means), variances)
+        for i, row in enumerate(means):
+            if len(row) != len(means[0]):
+                raise ValueError(f"mixture.means.{i} must have {len(means[0])} entries "
+                                 f"like mixture.means.0, got {len(row)}")
+        return IsotropicGaussianMixture(np.array(weights), np.array(means), np.array(variances))
     raise ValueError(f"{origin}: unknown mixture.kind {kind!r}")
 
 

@@ -3,14 +3,15 @@
 The selftest subcommand reruns the core exactness checks (detailed balance,
 ULD noise covariance, Taylor estimator, a small end-to-end fixed point, the
 error-field seeding) without any test-only dependency, so an installed wheel
-can vouch for itself.
+can vouch for itself.  The first three are the only implementation of the
+first halves of acceptance gates a1, a4 and a5 (same seeds, sizes and
+tolerances) and return their measured error for the gate to report.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
-import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -32,7 +33,7 @@ from .samplers import (
     taylor_energy_diff,
     uld_noise_covariance,
 )
-from .schedule import FixedSchedule, make_target
+from .schedule import FixedSchedule, eta_for, make_target
 from .targets import (
     IsotropicGaussianMixture,
     ScoreOracle,
@@ -117,26 +118,28 @@ def _cmd_preset(args) -> int:
 # --- selftest ----------------------------------------------------------------
 
 
-def _check_detailed_balance() -> None:
-    mix = IsotropicGaussianMixture.standard_normal(1)
-    sched = FixedSchedule(times=(0.0,), horizon=0.7, L=1.0)
-    rng = np.random.default_rng(11)
-    target = make_target(ScoreOracle(mix), sched, 0, rng.normal(size=(1, 1)))
-    tau = 0.23
+def _check_detailed_balance() -> float:
+    """pi(z) q(z,z') A(z,z') == pi(z') q(z',z) A(z',z) to 1e-10 in 1-D and 2-D."""
+    tau, n = 0.27, 10_000
+    sched = FixedSchedule(times=(0.0,), horizon=eta_for(1.0), L=1.0)
     worst = 0.0
-    for _ in range(1000):
-        z = rng.normal(size=(1, 1))
-        z2 = rng.normal(size=(1, 1))
-        # pi(z) q(z, z2) A(z, z2) must equal pi(z2) q(z2, z) A(z2, z).
+    for dim, seed in ((1, 101), (2, 202)):
+        oracle = ScoreOracle(IsotropicGaussianMixture.standard_normal(dim))
+        rng = np.random.default_rng(seed)
+        target = make_target(oracle, sched, 0, rng.normal(size=(n, dim)))
+        z, z2 = rng.normal(size=(2, n, dim))
+
         def side(a, b):
             drift = a - tau * target.grad_energy(a)
-            log_q = -float(np.sum((b - drift) ** 2)) / (4.0 * tau)
-            log_a = min(0.0, np.asarray(mala_accept_log(target, a, b, tau)).item())
-            return -np.asarray(target.energy(a)).item() + log_q + log_a
+            log_q = -np.sum((b - drift) ** 2, axis=-1) / (4.0 * tau)
+            log_acc = np.minimum(0.0, mala_accept_log(target, a, b, tau))
+            return -target.energy(a) + log_q + log_acc
+
         lhs, rhs = side(z, z2), side(z2, z)
-        worst = max(worst, abs(lhs - rhs) / max(1.0, abs(lhs)))
+        worst = max(worst, float(np.max(np.abs(lhs - rhs) / np.maximum(1.0, np.abs(lhs)))))
     if worst > 1e-10:
         raise AssertionError(f"detailed balance violated: rel err {worst:.3e}")
+    return worst
 
 
 def _simpson(f, a: float, b: float, n: int = 2000) -> float:
@@ -146,35 +149,37 @@ def _simpson(f, a: float, b: float, n: int = 2000) -> float:
     return float((b - a) / (3 * n) * np.sum(w * f(xs)))
 
 
-def _check_uld_covariance() -> None:
-    rng = np.random.default_rng(5)
-    for _ in range(10):
-        gamma = float(rng.uniform(0.5, 12.0))
-        tau = float(rng.uniform(0.01, 0.8))
+def _check_uld_covariance() -> float:
+    """ULD noise covariance matches Simpson quadrature of its kernels to 1e-8."""
+    rng = np.random.default_rng(99)
+    worst = 0.0
+    for _ in range(20):
+        gamma = float(rng.uniform(0.3, 15.0))
+        tau = float(rng.uniform(0.005, 1.0))
         kz = lambda s: (1.0 - np.exp(-gamma * (tau - s))) / gamma
         kv = lambda s: np.exp(-gamma * (tau - s))
-        want = (2 * gamma * _simpson(lambda s: kz(s) ** 2, 0, tau),
-                2 * gamma * _simpson(lambda s: kz(s) * kv(s), 0, tau),
-                2 * gamma * _simpson(lambda s: kv(s) ** 2, 0, tau))
+        want = [2 * gamma * _simpson(f, 0, tau) for f in
+                (lambda s: kz(s) ** 2, lambda s: kz(s) * kv(s), lambda s: kv(s) ** 2)]
         got = uld_noise_covariance(gamma, tau)[:3]
-        for g, w in zip(got, want):
-            if abs(g - w) > 1e-8:
-                raise AssertionError(
-                    f"ULD covariance mismatch at gamma={gamma:.3f} tau={tau:.3f}: "
-                    f"{g!r} vs quadrature {w!r}")
+        err = max(abs(g - w) for g, w in zip(got, want))
+        if err > 1e-8:
+            raise AssertionError(f"ULD covariance off by {err:.3e} at gamma={gamma:.3f} "
+                                 f"tau={tau:.3f}: {got} vs quadrature {want}")
+        worst = max(worst, err)
+    return worst
 
 
-def _check_taylor_estimator() -> None:
-    c = 1.7
-    score_fn = lambda x: -c * x
-    rng = np.random.default_rng(3)
-    z = rng.normal(size=(8, 2))
-    z2 = rng.normal(size=(8, 2))
-    est, _ = taylor_energy_diff(score_fn, z, z2, u=2, dt=1e-3)
+def _check_taylor_estimator() -> float:
+    """u = 2 Taylor energy differences are exact on a quadratic to 1e-8, at cost 2."""
+    c = 1.3
+    rng = np.random.default_rng(21)
+    z, z2 = rng.normal(size=(2, 64, 3))
+    est, cost = taylor_energy_diff(lambda x: -c * x, z, z2, u=2, dt=1e-3)
     exact = 0.5 * c * (np.sum(z2**2, axis=-1) - np.sum(z**2, axis=-1))
     err = float(np.max(np.abs(est - exact)))
-    if err > 1e-8:
-        raise AssertionError(f"taylor estimator error {err:.3e} on a quadratic")
+    if err > 1e-8 or cost != 2:
+        raise AssertionError(f"taylor estimator error {err:.3e} at cost {cost} on a quadratic")
+    return err
 
 
 def _check_rtk_fixed_point() -> None:

@@ -129,39 +129,32 @@ class UldSpec:
 class ChainState:
     """Mutable batch of chains plus the counters the contracts track.
 
-    nfe / accept_count / propose_count are per-chain int64 arrays; all
-    chains in a batch advance in lockstep so the entries usually agree,
-    but merging states from separate workers keeps them meaningful.
+    The counters are plain ints summed over the batch, matching the paper's
+    cost model of score calls across all chains: nfe is the score rows
+    charged, propose_count the proposals made and accept_count those
+    accepted.  Chains advance in lockstep, so per-chain NFE is
+    nfe // n_chains.
     """
 
     def __init__(self, positions: Array, rng: np.random.Generator,
                  velocity: Array | None = None):
-        positions = np.asarray(positions, dtype=np.float64)
-        if positions.ndim == 1:
-            positions = positions[None, :]
-        self.positions = positions
+        self.positions = np.asarray(positions, dtype=np.float64)
         self.velocity = None if velocity is None else np.asarray(velocity, dtype=np.float64)
         self.rng = rng
-        n = positions.shape[0]
-        self.nfe = np.zeros(n, dtype=np.int64)
-        self.accept_count = np.zeros(n, dtype=np.int64)
-        self.propose_count = np.zeros(n, dtype=np.int64)
+        self.nfe = 0
+        self.accept_count = 0
+        self.propose_count = 0
         self.noise_clamps = 0
 
     @property
     def n_chains(self) -> int:
         return self.positions.shape[0]
 
-    @property
-    def dim(self) -> int:
-        return self.positions.shape[1]
-
     def accept_rate(self) -> float:
         """Pooled acceptance fraction; 1.0 when nothing was proposed."""
-        proposed = int(self.propose_count.sum())
-        if proposed == 0:
+        if self.propose_count == 0:
             return 1.0
-        return int(self.accept_count.sum()) / proposed
+        return self.accept_count / self.propose_count
 
 
 def _sqnorm(x: Array) -> Array:
@@ -192,17 +185,17 @@ def ddpm_run(oracle: ScoreOracle, horizon: float, steps: int, n_chains: int,
         t = horizon - k * eta
         s = oracle.score(t, x)
         x = grow * x + drift * s + noise * state.rng.standard_normal(x.shape)
-        state.nfe += 1
+        state.nfe += n_chains
     state.positions = x
     return state
 
 
 def ula_step(target, state: ChainState, tau: float) -> ChainState:
-    """One unadjusted step z <- z - tau grad g(z) + sqrt(2 tau) xi; NFE += 1."""
+    """One unadjusted step z <- z - tau grad g(z) + sqrt(2 tau) xi; NFE += n_chains."""
     z = state.positions
     g = target.grad_energy(z)
     state.positions = z - tau * g + math.sqrt(2.0 * tau) * state.rng.standard_normal(z.shape)
-    state.nfe += 1
+    state.nfe += state.n_chains
     return state
 
 
@@ -309,12 +302,13 @@ def _resolve_taylor_dt(spec: MalaSpec, oracle: ScoreOracle) -> float:
 def mala_run(target, spec: MalaSpec, state: ChainState) -> ChainState:
     """Run spec.steps MALA iterations, caching the current-point score.
 
-    The initial score query costs one NFE unit; each subsequent proposal
-    costs spec.step_nfe (1 exact, 2^(u-1) score-only).  The exact estimator
-    also carries log p at the current point, taken from the same mixture
-    pass as each score, so a proposal costs one pass.  The projected gate,
-    when enabled, masks acceptance after the ordinary draws so a gated run
-    replays a standard run bit-for-bit whenever the gate never fires.
+    The initial score query costs one NFE unit per chain; each subsequent
+    proposal costs spec.step_nfe per chain (1 exact, 2^(u-1) score-only).
+    The exact estimator also carries log p at the current point, taken from
+    the same mixture pass as each score, so a proposal costs one pass.  The
+    projected gate, when enabled, masks acceptance after the ordinary draws
+    so a gated run replays a standard run bit-for-bit whenever the gate
+    never fires.
     """
     if spec.steps == 0:
         return state
@@ -328,12 +322,12 @@ def mala_run(target, spec: MalaSpec, state: ChainState) -> ChainState:
     else:
         score_z, logp_z = target.score(z, with_log_density=True)
     grad_z = target.grad_energy(z, score_value=score_z)
-    state.nfe += 1
+    state.nfe += state.n_chains
     root = math.sqrt(2.0 * tau)
     for _ in range(spec.steps):
         noise = rng.standard_normal(z.shape)
         z_prop = z - tau * grad_z + root * noise
-        log_u = np.log(rng.random(z.shape[0]))
+        log_u = np.log(rng.random(state.n_chains))
         if taylor:
             score_prop = target.score(z_prop)
             f_diff, _ = taylor_energy_diff(target.score, z, z_prop,
@@ -349,9 +343,9 @@ def mala_run(target, spec: MalaSpec, state: ChainState) -> ChainState:
         accept = log_u < log_a
         if spec.projected:
             accept &= projected_gate(z, z_prop, spec.radius_r, spec.radius_R)
-        state.propose_count += 1
-        state.accept_count += accept
-        state.nfe += spec.step_nfe
+        state.propose_count += state.n_chains
+        state.accept_count += int(accept.sum())
+        state.nfe += spec.step_nfe * state.n_chains
         keep = accept[:, None]
         z = np.where(keep, z_prop, z)
         score_z = np.where(keep, score_prop, score_z)
@@ -421,7 +415,7 @@ def uld_step(target, state: ChainState, tau: float, gamma: float) -> ChainState:
     xi_z, xi_v, clamped = uld_noise_pair(gamma, tau, state.rng, z.shape)
     state.positions = z + c1 * v - ((tau - c1) / gamma) * grad + xi_z
     state.velocity = math.exp(-x) * v - c1 * grad + xi_v
-    state.nfe += 1
+    state.nfe += state.n_chains
     state.noise_clamps += int(clamped)
     return state
 
@@ -466,8 +460,7 @@ def rtk_run(oracle: ScoreOracle, schedule, specs, n_chains: int,
     traces: list[SegmentTrace] = []
     for seg, spec in zip(segments, specs):
         target = make_target(oracle, schedule, seg.index, state.positions)
-        accepts0 = int(state.accept_count.sum())
-        proposals0 = int(state.propose_count.sum())
+        accepts0, proposals0 = state.accept_count, state.propose_count
         if isinstance(spec, MalaSpec):
             init = mala_init(seg, state.positions)
             state.positions = init.sample(state.rng)
@@ -490,6 +483,6 @@ def rtk_run(oracle: ScoreOracle, schedule, specs, n_chains: int,
         else:
             raise TypeError(f"rtk_run cannot drive {type(spec).__name__}")
         traces.append(SegmentTrace(seg.index, seg.t_base, spec.steps,
-                                   int(state.accept_count.sum()) - accepts0,
-                                   int(state.propose_count.sum()) - proposals0))
+                                   state.accept_count - accepts0,
+                                   state.propose_count - proposals0))
     return state, traces

@@ -119,7 +119,7 @@ class RtkTarget:
     """
 
     def __init__(self, oracle: ScoreOracle, t_base: float, eta: float,
-                 x_prev: Array, index: int = 0):
+                 x_prev: Array):
         if not (eta > 0):
             raise ValueError("eta must be positive")
         self.oracle = oracle
@@ -128,14 +128,9 @@ class RtkTarget:
         self.x_prev = _readonly(x_prev)
         if self.x_prev.shape[-1] != oracle.dim:
             raise ValueError("x_prev dimension does not match the oracle")
-        self.index = int(index)
         self.decay = math.exp(-self.eta)            # e^(-eta)
         self.denom = -math.expm1(-2.0 * self.eta)   # 1 - e^(-2 eta)
         self.quad_weight = (self.decay * self.decay) / self.denom
-
-    @property
-    def dim(self) -> int:
-        return self.oracle.dim
 
     def score(self, z: Array, with_log_density: bool = False):
         """Oracle score at the base time (one score call per row).
@@ -184,7 +179,7 @@ def make_target(oracle: ScoreOracle, schedule, k: int, x_prev: Array) -> RtkTarg
     if not (0 <= k < len(segs)):
         raise ValueError(f"segment index {k} outside [0, {len(segs)})")
     seg = segs[k]
-    return RtkTarget(oracle, seg.t_base, seg.eta, x_prev, index=k)
+    return RtkTarget(oracle, seg.t_base, seg.eta, x_prev)
 
 
 def energy_hessian(target: RtkTarget, z: Array, step: float = 1e-4) -> Array:

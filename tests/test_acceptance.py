@@ -3,6 +3,8 @@
 Eight gate checks, one test each, every tolerance stated inline.  Each test
 prints a single `acceptance N (...): PASS` line with its measured numbers
 (visible with -s or -rP); pytest's own verdict line is the pass/fail record.
+The first halves of checks 1, 4 and 5 are the `rtkbench selftest` checks,
+called from rtkbench.cli so that each exactness check has one implementation.
 The ring-mixture benchmark (checks 6-8) runs the shipped preset unmodified;
 the same run is also compared against a committed golden copy of its CSV.
 """
@@ -14,19 +16,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
 
 from rtkbench.bench import paper_preset, run_experiment
-from rtkbench.metrics import marginal_accuracy, second_moment
-from rtkbench.samplers import (
-    ChainState,
-    MalaSpec,
-    UldSpec,
-    mala_accept_log,
-    taylor_energy_diff,
-    uld_noise_covariance,
-    uld_run,
+from rtkbench.cli import (
+    _check_detailed_balance,
+    _check_taylor_estimator,
+    _check_uld_covariance,
 )
+from rtkbench.samplers import ChainState, MalaSpec, UldSpec, uld_run
 from rtkbench.schedule import (
     FixedSchedule,
     energy_hessian,
@@ -60,26 +57,7 @@ def _rows_by_unit(report):
 def test_a1_mala_detailed_balance():
     """pi(z) q(z,z') A(z,z') == pi(z') q(z',z) A(z',z) to 1e-10 in 1-D and 2-D."""
     start = time.perf_counter()
-    worst = 0.0
-    for dim, seed in ((1, 101), (2, 202)):
-        mix = IsotropicGaussianMixture.standard_normal(dim)
-        sched = FixedSchedule(times=(0.0,), horizon=eta_for(1.0), L=1.0)
-        rng = np.random.default_rng(seed)
-        n = 10_000
-        target = make_target(ScoreOracle(mix), sched, 0, rng.normal(size=(n, dim)))
-        tau = 0.27
-        z = rng.normal(size=(n, dim))
-        z2 = rng.normal(size=(n, dim))
-
-        def balance_side(a, b):
-            drift = a - tau * target.grad_energy(a)
-            log_q = -np.sum((b - drift) ** 2, axis=-1) / (4.0 * tau)
-            log_acc = np.minimum(0.0, mala_accept_log(target, a, b, tau))
-            return -target.energy(a) + log_q + log_acc
-
-        lhs = balance_side(z, z2)
-        rhs = balance_side(z2, z)
-        worst = max(worst, float(np.max(np.abs(lhs - rhs) / np.maximum(1.0, np.abs(lhs)))))
+    worst = _check_detailed_balance()
     elapsed = time.perf_counter() - start
     assert worst <= 1e-10
     assert elapsed < 5.0
@@ -152,18 +130,7 @@ def test_a3_strong_log_concavity_window():
 def test_a4_uld_noise_exactness():
     """Noise covariance matches quadrature to 1e-8; stationary law within 5%."""
     start = time.perf_counter()
-    rng = np.random.default_rng(99)
-    worst = 0.0
-    for _ in range(20):
-        gamma = float(rng.uniform(0.3, 15.0))
-        tau = float(rng.uniform(0.005, 1.0))
-        kz = lambda s: (1.0 - math.exp(-gamma * (tau - s))) / gamma
-        kv = lambda s: math.exp(-gamma * (tau - s))
-        want = (2 * gamma * quad(lambda s: kz(s) ** 2, 0, tau, epsabs=1e-13)[0],
-                2 * gamma * quad(lambda s: kz(s) * kv(s), 0, tau, epsabs=1e-13)[0],
-                2 * gamma * quad(lambda s: kv(s) ** 2, 0, tau, epsabs=1e-13)[0])
-        got = uld_noise_covariance(gamma, tau)[:3]
-        worst = max(worst, max(abs(g - w) for g, w in zip(got, want)))
+    worst = _check_uld_covariance()
     assert worst <= 1e-8
 
     c = 2.0  # target N(0, 1/c)
@@ -198,16 +165,8 @@ def test_a5_score_only_estimator():
     """u = 2 Taylor energy differences are exact on quadratics (1e-8) and the
     score-only MALA chain matches the exact-energy chain's variance within 2%."""
     start = time.perf_counter()
-    c = 1.3
-    score_fn = lambda z: -c * z
-    rng = np.random.default_rng(21)
-    z = rng.normal(size=(64, 3))
-    z2 = rng.normal(size=(64, 3))
-    est, cost = taylor_energy_diff(score_fn, z, z2, u=2, dt=1e-3)
-    exact = 0.5 * c * (np.sum(z2**2, axis=-1) - np.sum(z**2, axis=-1))
-    err = float(np.max(np.abs(est - exact)))
+    err = _check_taylor_estimator()  # also asserts cost == 2
     assert err <= 1e-8
-    assert cost == 2
 
     mix = IsotropicGaussianMixture.standard_normal(1)
     sched = FixedSchedule(times=(0.0,), horizon=eta_for(1.0), L=1.0)

@@ -452,7 +452,7 @@ class TestNfeAudit:
         for budget in config.nfe_budgets:
             oracle = CountingOracle(mix, score_error=0.5, error_cell=1e6)
             state = self.run_unit(config, method, budget, oracle)
-            charged = int(state.nfe.max()) * config.n_samples
+            charged = state.nfe
             if method == "mala_es":  # Taylor steps may reuse score(z)
                 assert 0 < oracle.rows[0] <= charged
             else:
@@ -470,7 +470,7 @@ class TestNfeAudit:
         config = small_config()
         oracle = ScoreOracle(config.mixture, energy_error=0.0)
         state = self.run_unit(config, "mala", 24, oracle)
-        assert int(state.propose_count.sum()) > 0
+        assert state.propose_count > 0
         assert calls == []
         oracle.energy_difference(0.5, state.positions[:2], state.positions[2:4])
         assert len(calls) == 2  # the hook sees the oracle's own passes

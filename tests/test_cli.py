@@ -2,7 +2,7 @@
 
 import pytest
 
-from rtkbench import bench
+from rtkbench import bench, cli
 from rtkbench.bench import config_from_text, config_to_text, paper_preset
 from rtkbench.cli import main
 from rtkbench.metrics import MetricsRow
@@ -82,14 +82,28 @@ class TestRunCommand:
         assert svg.count("<circle") == 1
 
     def test_bad_mixture_value_is_named_in_one_line(self, tmp_path, capsys):
+        explicit = ("mixture.kind = explicit\nmixture.weights = {}\nmixture.variances = {}\n"
+                    "mixture.means.0 = 0.3,-1\nmixture.means.1 = {}")
+        cases = [
+            ("mixture.kind = standard_normal\nmixture.dim = abc",
+             "bad value for mixture.dim: 'abc'"),
+            (explicit.format("0.25,0.75", "0.4,0", "2,0.5"),
+             "mixture.variances must be positive, got 0.0"),
+            (explicit.format("-0.25,1.25", "0.4,1.3", "2,0.5"),
+             "mixture.weights must be >= 0, got -0.25"),
+            (explicit.format("0.25,0.75", "0.4,1.3", "2"),
+             "mixture.means.1 must have 2 entries like mixture.means.0, got 1"),
+        ]
         cfg = tmp_path / "exp.cfg"
-        cfg.write_text(SMALL_CONFIG.replace("mixture.dim = 2", "mixture.dim = abc"))
-        code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:")
-        assert err.count("\n") == 1
-        assert "bad value for mixture.dim: 'abc'" in err
+        for mixture, message in cases:
+            cfg.write_text(SMALL_CONFIG.replace(
+                "mixture.kind = standard_normal\nmixture.dim = 2", mixture))
+            code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+            assert code == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error:")
+            assert err.count("\n") == 1
+            assert message in err
 
 
 def _with_line(line: str) -> str:
@@ -239,6 +253,16 @@ class TestSelftest:
         assert "ok - error-field" in out
         assert "FAIL" not in out
         assert "all 6 checks passed" in out
+
+    def test_failed_check_is_reported(self, monkeypatch, capsys):
+        real = cli.uld_noise_covariance
+        monkeypatch.setattr(cli, "uld_noise_covariance",
+                            lambda g, t: (real(g, t)[0] + 1e-6, *real(g, t)[1:]))
+        assert main(["selftest"]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL - uld-covariance: ULD covariance off by 1.000e-06" in out
+        assert out.count("ok - ") == 5
+        assert "1 of 6 checks failed" in out
 
 
 def test_subcommand_required():
