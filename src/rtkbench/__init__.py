@@ -2,119 +2,18 @@
 
 The package splits denoising into per-segment log-concave sampling problems
 (MALA, projected MALA, score-only MALA, ULA, ULD) and benchmarks them against
-one-step Gaussian reversal on Gaussian-mixture targets.
+one-step Gaussian reversal on Gaussian-mixture targets.  Each module's
+__all__ is its public surface; the package re-exports their union.
 """
 
-from .bench import (
-    ExperimentConfig,
-    RunReport,
-    allocate_nfe,
-    config_from_text,
-    config_to_text,
-    emit_csv,
-    emit_plot,
-    load_config,
-    paper_preset,
-    run_experiment,
-)
-from .metrics import (
-    MetricsRow,
-    SortedReference,
-    marginal_accuracy,
-    mode_mass,
-    second_moment,
-)
-from .samplers import (
-    ChainState,
-    MalaSpec,
-    SegmentTrace,
-    UlaSpec,
-    UldSpec,
-    ddpm_run,
-    default_projection_params,
-    mala_accept_log,
-    mala_run,
-    projected_gate,
-    rtk_run,
-    taylor_energy_diff,
-    ula_run,
-    ula_step,
-    uld_noise_covariance,
-    uld_noise_pair,
-    uld_run,
-    uld_step,
-)
-from .schedule import (
-    FixedSchedule,
-    GaussianInit,
-    RtkTarget,
-    Segment,
-    energy_hessian,
-    eta_for,
-    make_target,
-    mala_init,
-    outer_steps,
-    uld_init,
-)
-from .targets import (
-    IsotropicGaussianMixture,
-    ScoreOracle,
-    forward_marginal,
-    log_density,
-    sample_base,
-    score,
-)
+from . import bench, metrics, samplers, schedule, targets
+from .bench import *
+from .metrics import *
+from .samplers import *
+from .schedule import *
+from .targets import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ChainState",
-    "ExperimentConfig",
-    "FixedSchedule",
-    "GaussianInit",
-    "IsotropicGaussianMixture",
-    "MalaSpec",
-    "MetricsRow",
-    "RtkTarget",
-    "RunReport",
-    "ScoreOracle",
-    "Segment",
-    "SegmentTrace",
-    "SortedReference",
-    "UlaSpec",
-    "UldSpec",
-    "allocate_nfe",
-    "config_from_text",
-    "config_to_text",
-    "ddpm_run",
-    "default_projection_params",
-    "emit_csv",
-    "emit_plot",
-    "energy_hessian",
-    "eta_for",
-    "forward_marginal",
-    "load_config",
-    "log_density",
-    "make_target",
-    "mala_accept_log",
-    "mala_init",
-    "mala_run",
-    "marginal_accuracy",
-    "mode_mass",
-    "outer_steps",
-    "paper_preset",
-    "projected_gate",
-    "rtk_run",
-    "run_experiment",
-    "sample_base",
-    "score",
-    "second_moment",
-    "taylor_energy_diff",
-    "ula_run",
-    "ula_step",
-    "uld_init",
-    "uld_noise_covariance",
-    "uld_noise_pair",
-    "uld_run",
-    "uld_step",
-]
+__all__ = [*bench.__all__, *metrics.__all__, *samplers.__all__, *schedule.__all__,
+           *targets.__all__]

@@ -38,7 +38,6 @@ METHODS = ("ddpm", "ula", "uld", "mala", "mala_es")
 DIVERGED_FACTOR = 1e3
 
 __all__ = [
-    "METHODS",
     "ExperimentConfig",
     "RunReport",
     "allocate_nfe",
@@ -49,8 +48,6 @@ __all__ = [
     "load_config",
     "paper_preset",
     "run_experiment",
-    "segment_curvature",
-    "split_budget",
 ]
 
 
@@ -490,6 +487,12 @@ def mixture_from_mapping(kv: dict[str, str], origin: str = "<config>",
             if len(row) != len(means[0]):
                 raise ValueError(f"mixture.means.{i} must have {len(means[0])} entries "
                                  f"like mixture.means.0, got {len(row)}")
+        total = float(np.sum(weights))
+        if abs(total - 1.0) > 1e-12:
+            raise ValueError(f"mixture.weights must sum to 1 within 1e-12, got {total}")
+        if len(variances) != len(weights):
+            raise ValueError(f"mixture.variances must have {len(weights)} entries "
+                             f"like mixture.weights, got {len(variances)}")
         return IsotropicGaussianMixture(np.array(weights), np.array(means), np.array(variances))
     raise ValueError(f"{origin}: unknown mixture.kind {kind!r}")
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .schedule import mala_init, make_target, uld_init
+from .schedule import RtkTarget, mala_init, uld_init
 from .targets import ScoreOracle
 
 Array = np.ndarray
@@ -459,7 +459,7 @@ def rtk_run(oracle: ScoreOracle, schedule, specs, n_chains: int,
     state = ChainState(rng.standard_normal((n_chains, dim)), rng)
     traces: list[SegmentTrace] = []
     for seg, spec in zip(segments, specs):
-        target = make_target(oracle, schedule, seg.index, state.positions)
+        target = RtkTarget(oracle, seg.t_base, seg.eta, state.positions)
         accepts0, proposals0 = state.accept_count, state.propose_count
         if isinstance(spec, MalaSpec):
             init = mala_init(seg, state.positions)

@@ -24,6 +24,19 @@ from .targets import ScoreOracle, _readonly, _time_value
 
 Array = np.ndarray
 
+__all__ = [
+    "FixedSchedule",
+    "GaussianInit",
+    "RtkTarget",
+    "Segment",
+    "energy_hessian",
+    "eta_for",
+    "make_target",
+    "mala_init",
+    "outer_steps",
+    "uld_init",
+]
+
 
 def eta_for(L: float) -> float:
     """Segment length 0.5 ln((2L+1)/(2L)), so e^(-2 eta)/(1-e^(-2 eta)) = 2L."""

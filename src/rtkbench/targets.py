@@ -24,6 +24,15 @@ import numpy as np
 
 Array = np.ndarray
 
+__all__ = [
+    "IsotropicGaussianMixture",
+    "ScoreOracle",
+    "forward_marginal",
+    "log_density",
+    "sample_base",
+    "score",
+]
+
 _TIME_QUANTUM = 1e-9  # time resolution used when hashing error-field queries
 _TIME_CONSTANTS_KEPT = 16  # query times per mixture whose kernel constants are kept
 _time_constants_lock = threading.Lock()
@@ -204,7 +213,6 @@ _BATCH_SEEDING_MIN_ROWS = 16
 _DIRECTION_MEMO_SIZE = 16384
 _direction_memo: OrderedDict = OrderedDict()  # (payload, dim) -> unit row
 _direction_lock = threading.Lock()
-_thread_state = threading.local()
 
 
 def _seed_sequence_state(entropy: Array) -> Array:
@@ -260,17 +268,15 @@ def _pcg64_states(digests: bytes) -> list[tuple[int, int]]:
 def _row_generators(digests: list[bytes]):
     """A generator in the state of PCG64(int.from_bytes(d, "little")), per digest d.
 
-    A batch reuses this thread's generator, so take each one's draws before
-    advancing to the next.  Below _BATCH_SEEDING_MIN_ROWS digests the
-    batched SeedSequence pass costs more than seeding each row through numpy.
+    A batch reuses one generator, so take each one's draws before advancing
+    to the next.  Below _BATCH_SEEDING_MIN_ROWS digests the batched
+    SeedSequence pass costs more than seeding each row through numpy.
     """
     if len(digests) < _BATCH_SEEDING_MIN_ROWS:
         for d in digests:
             yield np.random.Generator(np.random.PCG64(int.from_bytes(d, "little")))
         return
-    gen = getattr(_thread_state, "gen", None)
-    if gen is None:
-        gen = _thread_state.gen = np.random.Generator(np.random.PCG64(0))
+    gen = np.random.Generator(np.random.PCG64(0))
     bg = gen.bit_generator
     inner = {"state": 0, "inc": 0}
     state = {"bit_generator": "PCG64", "state": inner, "has_uint32": 0, "uinteger": 0}
@@ -388,20 +394,13 @@ class ScoreOracle:
         return np.round(np.asarray(x, dtype=np.float64).reshape(-1, self.dim) / self.error_cell)
 
     @staticmethod
-    def _cell_key(cell: Array, prefix: bytes = b"") -> bytes:
-        """prefix + the int64 bytes of one cell.
+    def _cell_keys(cells: Array, prefix: bytes = b"") -> list[bytes]:
+        """prefix + the int64 bytes of each row of cells, in one pass.
 
         A far cell (a coordinate of magnitude 2^63 or more, or non-finite)
         has no int64 form; it gets prefix, a 0x01 tag byte and its float64
         bytes instead, a key length no in-range cell has.
         """
-        if np.abs(cell).max() < 2.0 ** 63:  # False for NaN
-            return prefix + cell.astype(np.int64).tobytes()
-        return prefix + b"\x01" + (cell + 0.0).tobytes()  # + 0.0 maps -0.0 to 0.0
-
-    @classmethod
-    def _cell_keys(cls, cells: Array, prefix: bytes = b"") -> list[bytes]:
-        """_cell_key of each row of cells, the in-range ones in one pass."""
         n, width = cells.shape[0], len(prefix) + 8 * cells.shape[1]
         far, ints = [], cells
         if n and not (-2.0 ** 63 < cells.min() and cells.max() < 2.0 ** 63):  # NaN too
@@ -413,7 +412,7 @@ class ScoreOracle:
         raw[:, len(prefix):] = ints.astype(np.int64).view(np.uint8).reshape(n, width - len(prefix))
         keys = raw.view(f"V{width}").ravel().tolist()
         for i in far:
-            keys[i] = cls._cell_key(cells[i], prefix)
+            keys[i] = prefix + b"\x01" + (cells[i] + 0.0).tobytes()  # + 0.0 maps -0.0 to 0.0
         return keys
 
     def _key_prefix(self, t: float) -> bytes:
@@ -424,7 +423,7 @@ class ScoreOracle:
         cells = self._cells(x)
         prefix = self._key_prefix(t)
         if cells.shape[0] > 0 and (cells == cells[0]).all():  # NaN rows never match
-            payload = self._cell_key(cells[0], prefix)
+            payload = self._cell_keys(cells[:1], prefix)[0]
             return self.score_error * _hashed_unit_directions([payload], self.dim)[0]
         out = _hashed_unit_directions(self._cell_keys(cells, prefix), self.dim)
         return self.score_error * out.reshape(np.shape(x)[:-1] + (self.dim,))

@@ -93,6 +93,10 @@ class TestRunCommand:
              "mixture.weights must be >= 0, got -0.25"),
             (explicit.format("0.25,0.75", "0.4,1.3", "2"),
              "mixture.means.1 must have 2 entries like mixture.means.0, got 1"),
+            (explicit.format("0.5,0.4", "0.4,1.3", "2,0.5"),
+             "mixture.weights must sum to 1 within 1e-12, got 0.9"),
+            (explicit.format("0.25,0.75", "0.4", "2,0.5"),
+             "mixture.variances must have 2 entries like mixture.weights, got 1"),
         ]
         cfg = tmp_path / "exp.cfg"
         for mixture, message in cases:
