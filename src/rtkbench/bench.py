@@ -58,6 +58,7 @@ _CHECKS = {
     ">= 2": (lambda v: v >= 2, "must be >= 2"),
     "> 0": (lambda v: v > 0, "must be positive"),
     "(0, 1)": (lambda v: 0 < v < 1, "must lie in (0, 1)"),
+    "(0, 1]": (lambda v: 0 < v <= 1, "must lie in (0, 1]"),
     "finite > 0": (lambda v: 0 < v < math.inf, "must be finite and positive"),
     "int64": (lambda v: -2**63 <= v < 2**63, "must fit in a signed 64-bit integer"),
 }
@@ -114,7 +115,7 @@ class ExperimentConfig:
     uld_tau_scale: float = _key("steps.uld_tau_scale", 1.0, "> 0")
     uld_gamma_scale: float = _key("steps.uld_gamma_scale", 1.0, "> 0")
     taylor_order: int = _key("steps.taylor_order", 2, ">= 1")
-    taylor_dt: float | None = _key("steps.taylor_dt", None, "> 0")
+    taylor_dt: float | None = _key("steps.taylor_dt", None, "(0, 1]")
     # A deployment path that `rtkbench run --out` overrides; never written.
     output_dir: str = _key("experiment.output_dir", ".")
 

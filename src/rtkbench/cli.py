@@ -37,7 +37,7 @@ from .schedule import FixedSchedule, eta_for, make_target
 from .targets import (
     IsotropicGaussianMixture,
     ScoreOracle,
-    _draw_unit_rows,
+    _hashed_unit_directions,
     _seed_sequence_state,
 )
 
@@ -217,16 +217,17 @@ def _check_error_field() -> None:
         if not np.array_equal(_seed_sequence_state(words)[0],
                               np.random.SeedSequence(n).generate_state(4, np.uint64)):
             raise AssertionError(f"SeedSequence({n}) state differs from numpy's")
-    payloads = [i.to_bytes(8, "little") for i in range(20)]  # a batched pass
+    payloads = [i.to_bytes(8, "little") for i in range(20)]
     for dim in (2, 10):
-        for payload, row in zip(payloads, _draw_unit_rows(payloads, dim)):
-            digest = hashlib.blake2b(payload, digest_size=16).digest()
-            g = np.random.Generator(np.random.PCG64(int.from_bytes(digest, "little")))
-            vec = g.standard_normal(dim)
-            if not np.array_equal(row, vec / np.linalg.norm(vec)):
-                raise AssertionError(
-                    f"error-field direction for payload {payload.hex()} (d={dim}) "
-                    "differs from numpy's PCG64(int) path")
+        for batch in (payloads, payloads[:1]):
+            for payload, row in zip(batch, _hashed_unit_directions(batch, dim)):
+                digest = hashlib.blake2b(payload, digest_size=16).digest()
+                g = np.random.Generator(np.random.PCG64(int.from_bytes(digest, "little")))
+                vec = g.standard_normal(dim)
+                if not np.array_equal(row, vec / np.linalg.norm(vec)):
+                    raise AssertionError(
+                        f"error-field direction for payload {payload.hex()} (d={dim}) "
+                        "differs from numpy's PCG64(int) path")
 
 
 _SELFTEST_CHECKS = (

@@ -68,8 +68,8 @@ class MalaSpec:
 
     estimator "exact" uses the oracle's energy-difference query; "taylor"
     reconstructs it from scores alone (order taylor_order on a grid of
-    spacing taylor_dt; None resolves to sqrt(score_error) or 1e-3 at run
-    time).  projected adds the stay-unless-inside B(z, r) & B(0, R) gate.
+    spacing taylor_dt in (0, 1]; None resolves to min(sqrt(score_error), 1)
+    or 1e-3 at run time).  projected adds the stay-unless-inside B(z, r) & B(0, R) gate.
     """
 
     steps: int
@@ -92,8 +92,8 @@ class MalaSpec:
             raise ValueError(f"unknown estimator {self.estimator!r}")
         if self.taylor_order < 1:
             raise ValueError("taylor_order must be >= 1")
-        if self.taylor_dt is not None and not (self.taylor_dt > 0):
-            raise ValueError("taylor_dt must be positive")
+        if self.taylor_dt is not None and not (0 < self.taylor_dt <= 1):
+            raise ValueError("taylor_dt must lie in (0, 1]")
 
     @property
     def step_nfe(self) -> int:
@@ -293,7 +293,7 @@ def taylor_energy_diff(score_fn, z: Array, z2: Array, u: int = 2,
 
 def _resolve_taylor_dt(spec: MalaSpec, oracle: ScoreOracle) -> float:
     if spec.taylor_dt is not None:
-        return min(spec.taylor_dt, 1.0)
+        return spec.taylor_dt
     if oracle.score_error > 0:
         return min(math.sqrt(oracle.score_error), 1.0)
     return 1e-3

@@ -13,8 +13,10 @@ against imperfect (learned-like) score models.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
+import operator
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -209,11 +211,6 @@ _U32 = 0xFFFFFFFF
 _U128 = (1 << 128) - 1
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
-_BATCH_SEEDING_MIN_ROWS = 16
-_DIRECTION_MEMO_SIZE = 16384
-_direction_memo: OrderedDict = OrderedDict()  # (payload, dim) -> unit row
-_direction_lock = threading.Lock()
-
 
 def _seed_sequence_state(entropy: Array) -> Array:
     """SeedSequence(n).generate_state(4, np.uint64) for many ints n at once.
@@ -265,32 +262,24 @@ def _pcg64_states(digests: bytes) -> list[tuple[int, int]]:
     return out
 
 
-def _row_generators(digests: list[bytes]):
-    """A generator in the state of PCG64(int.from_bytes(d, "little")), per digest d.
+def _hashed_unit_directions(payloads: Sequence[bytes], dim: int) -> Array:
+    """One pseudorandom unit vector per payload, shape (len(payloads), dim).
 
-    A batch reuses one generator, so take each one's draws before advancing
-    to the next.  Below _BATCH_SEEDING_MIN_ROWS digests the batched
-    SeedSequence pass costs more than seeding each row through numpy.
+    Row i is bit-equal to the per-row derivation
+    g = Generator(PCG64(int.from_bytes(blake2b(payload, digest_size=16), "little")));
+    v = g.standard_normal(dim); v / np.linalg.norm(v), redrawing from g
+    while the norm is 0.  The seeding runs as one SeedSequence pass over
+    the batch; one generator is then set to each row's state in turn.
     """
-    if len(digests) < _BATCH_SEEDING_MIN_ROWS:
-        for d in digests:
-            yield np.random.Generator(np.random.PCG64(int.from_bytes(d, "little")))
-        return
+    digests = [hashlib.blake2b(p, digest_size=16).digest() for p in payloads]
+    out = np.empty((len(digests), dim))
     gen = np.random.Generator(np.random.PCG64(0))
     bg = gen.bit_generator
     inner = {"state": 0, "inc": 0}
     state = {"bit_generator": "PCG64", "state": inner, "has_uint32": 0, "uinteger": 0}
-    for start, inc in _pcg64_states(b"".join(digests)):
+    for row, (start, inc) in zip(out, _pcg64_states(b"".join(digests))):
         inner["state"], inner["inc"] = start, inc
         bg.state = state
-        yield gen
-
-
-def _draw_unit_rows(payloads: list[bytes], dim: int) -> Array:
-    """Rows of _hashed_unit_directions, one per payload, without the memo."""
-    digests = [hashlib.blake2b(p, digest_size=16).digest() for p in payloads]
-    out = np.empty((len(digests), dim))
-    for row, gen in zip(out, _row_generators(digests)):
         gen.standard_normal(out=row)
     # A stacked vector-vector matmul is the same dot product as the 1-D
     # np.linalg.norm, bit for bit; a row-wise sum is not.
@@ -305,39 +294,16 @@ def _draw_unit_rows(payloads: list[bytes], dim: int) -> Array:
     return out
 
 
-def _hashed_unit_directions(payloads: Sequence[bytes], dim: int) -> Array:
-    """One pseudorandom unit vector per payload, shape (len(payloads), dim).
+@functools.lru_cache(maxsize=4096)
+def _cell_direction(payload: bytes, dim: int) -> Array:
+    """_hashed_unit_directions([payload], dim)[0], read-only and kept.
 
-    Row i is bit-equal to the per-row derivation
-    g = Generator(PCG64(int.from_bytes(blake2b(payload, digest_size=16), "little")));
-    v = g.standard_normal(dim); v / np.linalg.norm(v), redrawing from g
-    while the norm is 0.  The seeding runs as one SeedSequence pass over
-    the new rows of a batch.  Rows already derived in this process come
-    from a bounded first-in first-out memo shared by all threads.
+    The single-cell fast path asks for one direction per query time; the
+    bound holds every query time of the preset grid.
     """
-    keys = [(p, dim) for p in payloads]
-    with _direction_lock:
-        found = [_direction_memo.get(k) for k in keys]
-    missing = [i for i, row in enumerate(found) if row is None]
-    if not missing:
-        return np.array(found).reshape(len(keys), dim)
-    new = list(dict.fromkeys(keys[i] for i in missing))
-    fresh = _draw_unit_rows([k[0] for k in new], dim)
-    keep = fresh[-_DIRECTION_MEMO_SIZE:].copy()  # holds no more rows alive than it keeps
-    keep.flags.writeable = False
-    with _direction_lock:
-        _direction_memo.update(zip(new[-_DIRECTION_MEMO_SIZE:], keep))
-        while len(_direction_memo) > _DIRECTION_MEMO_SIZE:
-            _direction_memo.popitem(last=False)
-    out = np.empty((len(keys), dim))
-    for i, row in enumerate(found):
-        if row is not None:
-            out[i] = row
-    if len(new) < len(missing):  # a payload repeated within the batch
-        where = {k: j for j, k in enumerate(new)}
-        fresh = fresh[[where[keys[i]] for i in missing]]
-    out[missing] = fresh
-    return out
+    row = _hashed_unit_directions([payload], dim)[0]
+    row.flags.writeable = False
+    return row
 
 
 def _hashed_sign(payload: bytes) -> float:
@@ -358,13 +324,14 @@ class ScoreOracle:
     systematic direction per query time, the worst case of the error model.
 
     The directions of a score batch are derived in one batched pass, and
-    when every row falls in one error cell the direction is derived once
-    and broadcast; energy-difference rows whose two points share a cell get
-    a zero perturbation without being hashed.  Either way the result is the
-    same as hashing row by row.  A cell with a coordinate beyond int64
-    (|x / error_cell| >= 2^63, or non-finite) is keyed by its float64
-    bytes, so distinct far points keep distinct directions.  Every score
-    row is meant to enter through score(), which is where calls are counted.
+    when every row falls in one error cell the cell's direction, kept in a
+    bounded cache, is broadcast; energy-difference rows whose two points
+    share a cell get a zero perturbation without being hashed.  Either way
+    the result is the same as hashing row by row.  A cell with a coordinate
+    beyond int64 (|x / error_cell| >= 2^63, or non-finite) is keyed by its
+    float64 bytes, so distinct far points keep distinct directions.  Every
+    score row is meant to enter through score(), which is where calls are
+    counted.
     """
 
     base: IsotropicGaussianMixture
@@ -374,8 +341,9 @@ class ScoreOracle:
     error_cell: float = 1e-6
 
     def __post_init__(self):
-        if self.score_error < 0 or self.energy_error < 0:
-            raise ValueError("error magnitudes must be >= 0")
+        object.__setattr__(self, "error_seed", operator.index(self.error_seed))
+        if not (0 <= self.score_error < math.inf and 0 <= self.energy_error < math.inf):
+            raise ValueError("error magnitudes must be finite and >= 0")
         if not (self.error_cell > 0):
             raise ValueError("error_cell must be positive")
         if not (-2**63 <= self.error_seed < 2**63):
@@ -424,7 +392,7 @@ class ScoreOracle:
         prefix = self._key_prefix(t)
         if cells.shape[0] > 0 and (cells == cells[0]).all():  # NaN rows never match
             payload = self._cell_keys(cells[:1], prefix)[0]
-            return self.score_error * _hashed_unit_directions([payload], self.dim)[0]
+            return self.score_error * _cell_direction(payload, self.dim)
         out = _hashed_unit_directions(self._cell_keys(cells, prefix), self.dim)
         return self.score_error * out.reshape(np.shape(x)[:-1] + (self.dim,))
 

@@ -492,6 +492,16 @@ class TestEmitCsv:
         with pytest.raises(OSError, match="missing"):
             emit_csv(rep, target)
 
+    def test_per_chain_error_field_matches_golden_bytes(self, tmp_path):
+        """One error cell per chain and a hashed energy-difference sign: the
+        per-row direction and sign paths, which the single-cell preset never
+        reaches, reproduce tests/data/fine_field_golden.csv byte for byte."""
+        config = replace(paper_preset(), methods=("ula", "mala", "mala_es"), nfe_budgets=(50,),
+                         n_samples=200, reference_size=5000, error_cell=1e-6,
+                         energy_error=0.05)
+        got = emit_csv(run_experiment(config), tmp_path / "results.csv").read_bytes()
+        assert got == (Path(__file__).parent / "data" / "fine_field_golden.csv").read_bytes()
+
 
 class TestEmitPlot:
     def test_svg_is_well_formed(self, tmp_path):

@@ -159,7 +159,8 @@ class TestBadExperimentValues:
         ("schedule.times = 1.2,0", "schedule.times must be strictly ascending, got (1.2, 0.0)"),
         ("schedule.times = -1,0", "schedule.times must be >= 0, got (-1.0, 0.0)"),
         ("steps.taylor_order = 0", "steps.taylor_order must be >= 1, got 0"),
-        ("steps.taylor_dt = 0", "steps.taylor_dt must be positive, got 0"),
+        ("steps.taylor_dt = 0", "steps.taylor_dt must lie in (0, 1], got 0"),
+        ("steps.taylor_dt = 4", "steps.taylor_dt must lie in (0, 1], got 4"),
         ("schedule.eps = 0", "schedule.eps must lie in (0, 1), got 0"),
         ("experiment.n_samples = 0", "experiment.n_samples must be >= 1, got 0"),
         ("experiment.nfe_budgets = 5,3",

@@ -394,6 +394,8 @@ class TestMalaRun:
             MalaSpec(steps=1, tau=0.1, projected=True, radius_R=1.0, radius_r=2.0)
         with pytest.raises(ValueError):
             MalaSpec(steps=1, tau=0.1, estimator="magic")
+        with pytest.raises(ValueError, match=r"taylor_dt must lie in \(0, 1\]"):
+            MalaSpec(steps=1, tau=0.1, estimator="taylor", taylor_dt=4.0)
 
 
 class TestUldNoise:

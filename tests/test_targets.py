@@ -5,7 +5,6 @@ import math
 import sys
 import threading
 import warnings
-from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -359,6 +358,19 @@ class TestScoreOracle:
         oracle = ScoreOracle(two_comp_1d(), score_error=1.0, error_seed=seed)
         assert np.isfinite(oracle.score(0.5, np.zeros((3, 1)))).all()
 
+    def test_numpy_integer_error_seed_scores_like_an_int(self):
+        x = np.zeros((3, 1))
+        oracle = ScoreOracle(two_comp_1d(), score_error=1.0, error_seed=np.int64(3))
+        plain = ScoreOracle(two_comp_1d(), score_error=1.0, error_seed=3)
+        assert type(oracle.error_seed) is int
+        np.testing.assert_array_equal(oracle.score(0.5, x), plain.score(0.5, x))
+
+    @pytest.mark.parametrize("field", ["score_error", "energy_error"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_error_magnitude_rejected(self, field, value):
+        with pytest.raises(ValueError, match="error magnitudes must be finite and >= 0"):
+            ScoreOracle(two_comp_1d(), **{field: value})
+
     def test_zero_error_is_exact(self):
         mix = preset_ring()
         oracle = ScoreOracle(mix)
@@ -463,24 +475,20 @@ def cell_payloads(cells, prefix=b"\x07" * 16):
     return [prefix + np.asarray(row, dtype=np.int64).tobytes() for row in cells]
 
 
-@pytest.fixture
-def cold_memo(monkeypatch):
-    memo = OrderedDict()
-    monkeypatch.setattr(targets, "_direction_memo", memo)
-    return memo
-
-
 class TestHashedDirections:
-    @pytest.mark.parametrize("dim", [2, 10, 32])
-    def test_bit_equal_to_per_row_seeding(self, dim, cold_memo):
+    # The full 350-row batch keeps the id of its dimension alone.
+    @pytest.mark.parametrize("dim, n", [
+        pytest.param(dim, n, id=str(dim) if n == 350 else f"{dim}-{n}rows")
+        for dim in (2, 10, 32) for n in (1, 15, 16, 350)])
+    def test_bit_equal_to_per_row_seeding(self, dim, n):
         rng = np.random.default_rng(dim)
         near = rng.integers(-10**6, 10**6, size=(300, dim))
         far = rng.integers(-2**62, 2**62, size=(50, dim))  # ~1e18 cells out
-        payloads = cell_payloads(np.vstack([near, far]))
+        payloads = cell_payloads(np.vstack([near, far]))[-n:]
         want = np.array([reference_direction(p, dim) for p in payloads])
         np.testing.assert_array_equal(targets._hashed_unit_directions(payloads, dim), want)
 
-    def test_oracle_rows_follow_the_reference(self, cold_memo):
+    def test_oracle_rows_follow_the_reference(self):
         oracle = ScoreOracle(preset_ring(), score_error=0.3, error_seed=5, error_cell=1e-6)
         x = np.random.default_rng(4).standard_normal((100, 10))
         cells = np.round(x / 1e-6).astype(np.int64)
@@ -488,38 +496,34 @@ class TestHashedDirections:
                 for p in cell_payloads(cells, oracle._key_prefix(0.7))]
         np.testing.assert_array_equal(oracle._score_perturbation(0.7, x), want)
 
-    def test_empty_and_single_row(self, cold_memo):
+    def test_empty_and_single_row(self):
         assert targets._hashed_unit_directions([], 10).shape == (0, 10)
         payload = cell_payloads([[3] * 10])
         got = targets._hashed_unit_directions(payload, 10)
         assert got.shape == (1, 10)
         np.testing.assert_array_equal(got[0], reference_direction(payload[0], 10))
 
-    def test_cold_and_warm_memo_agree(self, cold_memo):
-        payloads = cell_payloads(np.arange(40).reshape(20, 2))
-        want = np.array([reference_direction(p, 2) for p in payloads])
-        cold = targets._hashed_unit_directions(payloads, 2)
-        assert len(cold_memo) == 20
-        warm = targets._hashed_unit_directions(payloads[::-1] + payloads[:3], 2)
-        np.testing.assert_array_equal(cold, want)
-        np.testing.assert_array_equal(warm, np.vstack([want[::-1], want[:3]]))
-        warm[:] = 0.0  # the caller owns its copy; the memo is untouched
-        np.testing.assert_array_equal(targets._hashed_unit_directions(payloads, 2), want)
-        single = targets._hashed_unit_directions(payloads[:1], 2)
-        single[:] = 0.0
-        np.testing.assert_array_equal(targets._hashed_unit_directions(payloads[:1], 2), want[:1])
+    def test_cell_directions_are_kept_read_only(self):
+        payload = cell_payloads([[5, -6]])[0]
+        row = targets._cell_direction(payload, 2)
+        assert not row.flags.writeable
+        with pytest.raises(ValueError):
+            row[0] = 0.0
+        assert targets._cell_direction(payload, 2) is row
+        np.testing.assert_array_equal(row, reference_direction(payload, 2))
 
-    def test_memo_is_bounded(self, cold_memo, monkeypatch):
-        monkeypatch.setattr(targets, "_DIRECTION_MEMO_SIZE", 8)
-        payloads = cell_payloads(np.arange(60).reshape(30, 2))
-        for lo in (0, 5, 20):
-            got = targets._hashed_unit_directions(payloads[lo:lo + 10], 2)
-            np.testing.assert_array_equal(
-                got, [reference_direction(p, 2) for p in payloads[lo:lo + 10]])
-            assert len(cold_memo) <= 8
-        assert list(cold_memo) == [(p, 2) for p in payloads[22:30]]
+    def test_repeated_single_cell_queries_agree(self):
+        targets._cell_direction.cache_clear()
+        oracle = ScoreOracle(preset_ring(), score_error=0.3, error_seed=5, error_cell=1e6)
+        x = np.random.default_rng(4).standard_normal((50, 10))
+        cold = oracle.score(0.7, x)
+        noise = oracle._score_perturbation(0.7, x)
+        want = noise.copy()
+        noise[:] = 0.0  # the caller owns its copy; the kept direction is untouched
+        np.testing.assert_array_equal(oracle.score(0.7, x), cold)
+        np.testing.assert_array_equal(oracle._score_perturbation(0.7, x[:1]), want)
 
-    def test_repeated_payloads_in_one_batch(self, cold_memo):
+    def test_repeated_payloads_in_one_batch(self):
         payloads = cell_payloads([[1, 2], [3, 4], [1, 2], [1, 2]])
         got = targets._hashed_unit_directions(payloads, 2)
         np.testing.assert_array_equal(got, [reference_direction(p, 2) for p in payloads])
@@ -533,10 +537,10 @@ class TestHashedDirections:
             targets._seed_sequence_state(words)[0],
             np.random.SeedSequence(n).generate_state(4, np.uint64))
 
-    def test_concurrent_batches_match_serial(self, cold_memo, monkeypatch):
-        # More threads than cores, frequent switches and a memo small enough
-        # to evict while other threads read it.
-        monkeypatch.setattr(targets, "_DIRECTION_MEMO_SIZE", 300)
+    def test_concurrent_batches_match_serial(self):
+        # More threads than cores and frequent switches, with the threads
+        # filling the single-cell cache at the same time.
+        targets._cell_direction.cache_clear()
         payloads = cell_payloads(np.arange(3000).reshape(1500, 2))
         batches = [payloads[i:i + 500] for i in range(0, 1000, 100)]
         serial = [np.array([reference_direction(p, 2) for p in b]) for b in batches]
@@ -544,7 +548,9 @@ class TestHashedDirections:
 
         def work(k):
             for j in range(len(batches)):
-                results[k, j] = targets._hashed_unit_directions(batches[(j + k) % len(batches)], 2)
+                batch = batches[(j + k) % len(batches)]
+                results[k, j] = (targets._hashed_unit_directions(batch, 2),
+                                 targets._cell_direction(batch[0], 2))
 
         threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
         interval = sys.getswitchinterval()
@@ -558,9 +564,9 @@ class TestHashedDirections:
             sys.setswitchinterval(interval)
         assert not any(th.is_alive() for th in threads)
         assert len(results) == 4 * len(batches)
-        for (k, j), got in results.items():
+        for (k, j), (got, cell) in results.items():
             np.testing.assert_array_equal(got, serial[(j + k) % len(batches)])
-        assert len(cold_memo) <= 300
+            np.testing.assert_array_equal(cell, serial[(j + k) % len(batches)][0])
 
 
 class TestFarErrorCells:
