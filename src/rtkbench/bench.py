@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -292,15 +291,37 @@ def build_specs(config: ExperimentConfig, schedule, method: str, budget: int):
     return specs
 
 
-def _run_unit(config: ExperimentConfig, oracle: ScoreOracle, schedule,
-              reference: SortedReference, method: str, budget: int,
-              unit_rng: np.random.Generator):
+def _unit_context(config: ExperimentConfig, schedule) -> tuple:
+    """(config, schedule, oracle, reference sample) of a run, one per process."""
+    oracle = ScoreOracle(config.mixture, score_error=config.score_error,
+                         energy_error=config.energy_error,
+                         error_seed=config.error_seed,
+                         error_cell=config.error_cell)
+    reference = SortedReference(sample_base(
+        config.mixture, config.reference_size,
+        np.random.default_rng(np.random.SeedSequence(config.metric_seed))))
+    return config, schedule, oracle, reference
+
+
+_worker_run = None  # a pool process's _unit_context, set by _start_worker
+
+
+def _start_worker(config: ExperimentConfig, schedule) -> None:
+    global _worker_run
+    _worker_run = _unit_context(config, schedule)
+
+
+def _run_unit(unit: tuple[int, str, int, int], context: tuple | None = None):
+    """(row, samples, warnings) of one unit, in the given or this pool process's run."""
+    config, schedule, oracle, reference = context or _worker_run
+    mi, method, bi, budget = unit
+    rng = np.random.default_rng(np.random.SeedSequence(config.master_seed, spawn_key=(mi, bi)))
     start = time.perf_counter()
     if method == "ddpm":
-        state = ddpm_run(oracle, config.horizon, budget, config.n_samples, unit_rng)
+        state = ddpm_run(oracle, config.horizon, budget, config.n_samples, rng)
     else:
         specs = build_specs(config, schedule, method, budget)
-        state, _ = rtk_run(oracle, schedule, specs, config.n_samples, unit_rng)
+        state, _ = rtk_run(oracle, schedule, specs, config.n_samples, rng)
     wall = (time.perf_counter() - start) * 1000.0 if config.record_wall else 0.0
     nfe = state.nfe // config.n_samples
     x = state.positions
@@ -336,52 +357,45 @@ def _run_unit(config: ExperimentConfig, oracle: ScoreOracle, schedule,
 
 
 def run_experiment(config: ExperimentConfig) -> RunReport:
-    """Run the full method x budget grid against one shared reference sample.
+    """Run the full method x budget grid, one reference sample per process.
 
     Deterministic for a given config: each unit's RNG comes from
     SeedSequence(master_seed, spawn_key=(method_index, budget_index)), and
-    the reference uses metric_seed.  RTKBENCH_WORKERS > 1 fans units out to
-    a thread pool without changing any output byte.
+    the reference uses metric_seed.  RTKBENCH_WORKERS > 1 runs the units in
+    spawned processes, longest budget first, without changing any output
+    byte.  A failed unit raises one ValueError that names it.
     """
     text = os.environ.get("RTKBENCH_WORKERS", "").strip() or "1"
-    try:
-        workers = int(text)
-    except ValueError:
-        workers = 0
+    workers = int(text) if text.isdecimal() else 0
     if workers < 1:
         raise ValueError(f"RTKBENCH_WORKERS must be a positive integer, got {text!r}")
-    mix = config.mixture
-    oracle = ScoreOracle(mix, score_error=config.score_error,
-                         energy_error=config.energy_error,
-                         error_seed=config.error_seed,
-                         error_cell=config.error_cell)
     schedule = build_schedule(config)
     n_segments = len(schedule.segments())
     if set(config.methods) - {"ddpm"} and min(config.nfe_budgets) < n_segments:
         raise ValueError(f"experiment.nfe_budgets = {min(config.nfe_budgets)} cannot cover "
                          f"the {n_segments} schedule segments with one score call each")
-    # Sorted on first use, inside the first unit's marginal_accuracy call.
-    reference = SortedReference(sample_base(
-        mix, config.reference_size,
-        np.random.default_rng(np.random.SeedSequence(config.metric_seed))))
     units = [(mi, method, bi, budget)
              for mi, method in enumerate(config.methods)
              for bi, budget in enumerate(config.nfe_budgets)]
-
-    def job(unit):
-        mi, method, bi, budget = unit
-        rng = np.random.default_rng(
-            np.random.SeedSequence(config.master_seed, spawn_key=(mi, bi)))
-        return _run_unit(config, oracle, schedule, reference, method, budget, rng)
-
+    futures = {}
     if workers > 1 and len(units) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(job, units))
-    else:
-        results = [job(u) for u in units]
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
 
+        with ProcessPoolExecutor(min(workers, len(units)),
+                                 mp_context=multiprocessing.get_context("spawn"),
+                                 initializer=_start_worker, initargs=(config, schedule)) as pool:
+            for unit in sorted(units, key=lambda u: -u[3]):  # longest budget first
+                futures[unit] = pool.submit(_run_unit, unit)
+    else:
+        context = _unit_context(config, schedule)
     report = RunReport(config, [], {})
-    for (mi, method, bi, budget), (row, x, warn) in zip(units, results):
+    for unit in units:
+        _, method, _, budget = unit
+        try:
+            row, x, warn = futures[unit].result() if futures else _run_unit(unit, context)
+        except Exception as exc:  # a worker that died raises BrokenProcessPool here
+            raise ValueError(f"{method}@{budget}: {type(exc).__name__}: {exc}") from exc
         report.rows.append(row)
         report.samples[(method, budget)] = x
         report.warnings.extend(warn)

@@ -8,7 +8,6 @@ extra virtual bin, never silently dropped.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,22 +57,20 @@ def _uniform_edges(lo: float, hi: float, bins: int) -> Array:
 class SortedReference:
     """A reference sample, (n, d), that owns its array and sorts it once.
 
-    The first metric call sorts the columns in place (no copy) under a lock,
-    so threads may share one instance; the array is then read-only.
+    The first metric call sorts the columns in place (no copy); the array is
+    then read-only.  A run builds one instance per process.
     """
 
     def __init__(self, samples: Array):
         self._data = np.atleast_2d(np.asarray(samples, dtype=np.float64))
         self._ranges: list[tuple[float, float]] | None = None
-        self._lock = threading.Lock()
 
     def sorted_columns(self) -> tuple[Array, list[tuple[float, float]]]:
         """The column-sorted (n, d) array and each column's finite (min, max)."""
-        with self._lock:
-            if self._ranges is None:
-                self._data.sort(axis=0)
-                self._data.setflags(write=False)
-                self._ranges = [_finite_range(col) for col in self._data.T]
+        if self._ranges is None:
+            self._data.sort(axis=0)
+            self._data.setflags(write=False)
+            self._ranges = [_finite_range(col) for col in self._data.T]
         return self._data, self._ranges
 
 

@@ -17,7 +17,6 @@ import functools
 import hashlib
 import math
 import operator
-import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -37,7 +36,6 @@ __all__ = [
 
 _TIME_QUANTUM = 1e-9  # time resolution used when hashing error-field queries
 _TIME_CONSTANTS_KEPT = 16  # query times per mixture whose kernel constants are kept
-_time_constants_lock = threading.Lock()
 
 
 def _readonly(a: Array) -> Array:
@@ -73,13 +71,17 @@ class IsotropicGaussianMixture:
             raise ValueError("component count mismatch between weights/means/variances")
         if w.shape[0] == 0:
             raise ValueError("mixture needs at least one component")
-        if np.any(w < 0) or abs(w.sum() - 1.0) > 1e-12:
+        if not (np.all(w >= 0) and abs(w.sum() - 1.0) <= 1e-12):  # NaN fails too
             raise ValueError("weights must be nonnegative and sum to 1 within 1e-12")
-        if np.any(v <= 0):
-            raise ValueError("component variances must be positive")
+        if not (np.all(v > 0) and np.isfinite(v).all() and np.isfinite(m).all()):
+            raise ValueError("component means must be finite, variances finite and positive")
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "means", m)
         object.__setattr__(self, "variances", v)
+
+    def __reduce__(self):
+        """Unpickle through __post_init__: checks re-run, arrays read-only, memo empty."""
+        return type(self), (self.weights, self.means, self.variances)
 
     @property
     def dim(self) -> int:
@@ -124,10 +126,9 @@ class IsotropicGaussianMixture:
         bias = (np.log(self.weights) - 0.5 * self.dim * np.log(2.0 * np.pi * var)
                 - half * np.einsum("kd,kd->k", means, means))
         found = tuple(_readonly(c) for c in (means / var[:, None], bias, half, 1.0 / var))
-        with _time_constants_lock:
-            self._constants[t] = found
-            while len(self._constants) > _TIME_CONSTANTS_KEPT:
-                self._constants.popitem(last=False)
+        self._constants[t] = found
+        while len(self._constants) > _TIME_CONSTANTS_KEPT:
+            self._constants.popitem(last=False)
         return found
 
     def second_moment(self) -> float:

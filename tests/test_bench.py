@@ -2,6 +2,7 @@
 
 import importlib
 import math
+import os
 import sys
 import warnings
 import xml.etree.ElementTree as ET
@@ -326,6 +327,25 @@ def report():
     return run_experiment(small_config())
 
 
+def _start_failing_ddpm_worker(config, schedule):
+    """A pool initializer whose process fails its ddpm unit at 24 steps."""
+    bench._start_worker(config, schedule)
+    real = bench.ddpm_run
+
+    def failing(oracle, horizon, steps, *args):
+        if steps == 24:
+            raise RuntimeError(f"planted at {steps} steps")
+        return real(oracle, horizon, steps, *args)
+
+    bench.ddpm_run = failing
+
+
+def _start_dying_ddpm_worker(config, schedule):
+    """A pool initializer whose process exits in the middle of a ddpm unit."""
+    bench._start_worker(config, schedule)
+    bench.ddpm_run = lambda *args: os._exit(3)
+
+
 class TestRunExperiment:
     def test_grid_shape(self, report):
         cfg = report.config
@@ -365,9 +385,23 @@ class TestRunExperiment:
             assert np.array_equal(report.samples[key], again.samples[key])
 
     def test_worker_pool_preserves_bytes(self, report, monkeypatch):
-        monkeypatch.setenv("RTKBENCH_WORKERS", "4")
-        pooled = run_experiment(small_config())
-        assert [r.csv_row() for r in pooled.rows] == [r.csv_row() for r in report.rows]
+        for workers in ("2", "4"):
+            monkeypatch.setenv("RTKBENCH_WORKERS", workers)
+            pooled = run_experiment(small_config())
+            assert [r.csv_row() for r in pooled.rows] == [r.csv_row() for r in report.rows]
+            assert pooled.warnings == report.warnings
+            for key in report.samples:
+                assert np.array_equal(report.samples[key], pooled.samples[key]), (workers, key)
+
+    @pytest.mark.parametrize("start, message", [
+        (_start_failing_ddpm_worker, "^ddpm@24: RuntimeError: planted at 24 steps$"),
+        (_start_dying_ddpm_worker, "^ddpm@12: BrokenProcessPool: "),
+    ], ids=["raises", "dies"])
+    def test_failed_worker_unit_is_named(self, monkeypatch, start, message):
+        monkeypatch.setenv("RTKBENCH_WORKERS", "2")
+        monkeypatch.setattr(bench, "_start_worker", start)
+        with pytest.raises(ValueError, match=message):
+            run_experiment(small_config(methods=("ddpm",)))
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError, match="nuts"):
@@ -492,15 +526,19 @@ class TestEmitCsv:
         with pytest.raises(OSError, match="missing"):
             emit_csv(rep, target)
 
-    def test_per_chain_error_field_matches_golden_bytes(self, tmp_path):
+    def test_per_chain_error_field_matches_golden_bytes(self, tmp_path, monkeypatch):
         """One error cell per chain and a hashed energy-difference sign: the
         per-row direction and sign paths, which the single-cell preset never
-        reaches, reproduce tests/data/fine_field_golden.csv byte for byte."""
+        reaches, reproduce tests/data/fine_field_golden.csv byte for byte,
+        serially and in a pool of two processes."""
         config = replace(paper_preset(), methods=("ula", "mala", "mala_es"), nfe_budgets=(50,),
                          n_samples=200, reference_size=5000, error_cell=1e-6,
                          energy_error=0.05)
-        got = emit_csv(run_experiment(config), tmp_path / "results.csv").read_bytes()
-        assert got == (Path(__file__).parent / "data" / "fine_field_golden.csv").read_bytes()
+        golden = (Path(__file__).parent / "data" / "fine_field_golden.csv").read_bytes()
+        for workers in ("1", "2"):
+            monkeypatch.setenv("RTKBENCH_WORKERS", workers)
+            got = emit_csv(run_experiment(config), tmp_path / "results.csv").read_bytes()
+            assert got == golden, workers
 
 
 class TestEmitPlot:

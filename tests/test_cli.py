@@ -224,6 +224,14 @@ class TestBadExperimentValues:
         assert "experiment.nfe_budgets = 3 cannot cover the 5 schedule segments" in err
         assert calls == []
 
+    def test_failed_unit_is_named_in_one_line(self, tmp_path, capsys, monkeypatch):
+        def failing(*args, **kwargs):
+            raise FloatingPointError("overflow in a planted step")
+
+        monkeypatch.setattr(bench, "ddpm_run", failing)
+        err = self.run_one_line_error(tmp_path, capsys, SMALL_CONFIG)
+        assert err == "error: ddpm@12: FloatingPointError: overflow in a planted step\n"
+
     @pytest.mark.parametrize("value", ["abc", "0", "-3"])
     def test_bad_worker_count(self, tmp_path, capsys, monkeypatch, value):
         monkeypatch.setenv("RTKBENCH_WORKERS", value)

@@ -1,8 +1,6 @@
 """Tests for marginal accuracy, the mode diagnostics and the second moment."""
 
 import math
-import sys
-import threading
 import warnings
 
 import numpy as np
@@ -136,36 +134,6 @@ class TestSortedReference:
         np.testing.assert_array_equal(data, np.sort(ref, axis=0))
         assert ranges == [(ref[:, j].min(), ref[:, j].max()) for j in range(3)]
         assert shared.sorted_columns()[0] is data
-
-    def test_threads_sharing_one_reference_match_serial(self):
-        ref, x = reference_and_samples(6, n_ref=100_000)
-        batches = [x[i:i + 150] for i in range(0, 600, 150)]
-        serial = [marginal_accuracy(b, ref, 40) for b in batches]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for _ in range(8):  # a fresh, unsorted reference each round
-                shared = SortedReference(ref.copy())
-                start = threading.Barrier(4)  # all four make the first call together
-                results = {}
-
-                def work(k):
-                    start.wait(timeout=60)
-                    for j in range(len(batches)):
-                        results[k, j] = marginal_accuracy(
-                            batches[(j + k) % len(batches)], shared, 40)
-
-                threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
-                for th in threads:
-                    th.start()
-                for th in threads:
-                    th.join(timeout=60)
-                assert not any(th.is_alive() for th in threads)
-                assert len(results) == 4 * len(batches)
-                for (k, j), got in results.items():
-                    assert got == serial[(j + k) % len(batches)]
-        finally:
-            sys.setswitchinterval(interval)
 
 
 class TestModeMass:

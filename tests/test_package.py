@@ -1,5 +1,9 @@
 """The package surface: the names `rtkbench` exports, as its modules declare them."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import rtkbench
 
 PUBLIC = [
@@ -34,3 +38,14 @@ def test_star_import_binds_exactly_the_surface():
     exec("from rtkbench import *", namespace)
     namespace.pop("__builtins__")
     assert sorted(namespace) == PUBLIC
+
+
+def test_import_loads_no_process_pool():
+    # bench imports the pool machinery only when it starts a pool, so that
+    # importing the package stays cheap.
+    src = str(Path(rtkbench.__file__).parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r}); import rtkbench; "
+            "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code],
+                         capture_output=True, text=True, timeout=60, check=True)
+    assert out.stdout == "[]\n"
