@@ -540,6 +540,21 @@ class TestEmitCsv:
             got = emit_csv(run_experiment(config), tmp_path / "results.csv").read_bytes()
             assert got == golden, workers
 
+    @pytest.mark.parametrize("golden, overrides", [
+        ("theory_golden.csv", dict(schedule_kind="theory", fixed_times=(),
+                                   methods=("ula", "uld", "mala", "mala_es"),
+                                   nfe_budgets=(200,))),
+        ("chain_field_golden.csv", dict(methods=("ddpm", "uld"), nfe_budgets=(50,),
+                                        error_cell=1e-6, energy_error=0.05)),
+    ], ids=["theory", "chain-field"])
+    def test_reduced_grid_matches_golden_bytes(self, tmp_path, golden, overrides):
+        """Reduced preset grids reproduce their golden CSVs byte for byte: the
+        theory schedule, the only one whose ULD draws the zero-centered
+        Gaussian init, and DDPM and ULD under one error cell per chain."""
+        config = replace(paper_preset(), n_samples=200, reference_size=5000, **overrides)
+        want = (Path(__file__).parent / "data" / golden).read_bytes()
+        assert emit_csv(run_experiment(config), tmp_path / "results.csv").read_bytes() == want
+
 
 class TestEmitPlot:
     def test_svg_is_well_formed(self, tmp_path):
