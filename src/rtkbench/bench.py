@@ -244,10 +244,8 @@ def allocate_nfe(budget: int, method: str, schedule, taylor_order: int = 2) -> l
     shares = split_budget(budget, segments)
     if method in ("ula", "uld"):
         return shares
-    if method == "mala":
-        return [s - 1 for s in shares]
-    if method == "mala_es":
-        cost = 2 ** (taylor_order - 1)
+    if method in ("mala", "mala_es"):
+        cost = 2 ** (taylor_order - 1) if method == "mala_es" else 1
         return [(s - 1) // cost for s in shares]
     raise ValueError(f"no segment allocation for method {method!r}")
 
@@ -281,13 +279,11 @@ def build_specs(config: ExperimentConfig, schedule, method: str, budget: int):
                     estimator="taylor" if method == "mala_es" else "exact",
                     taylor_order=config.taylor_order,
                     taylor_dt=config.taylor_dt))
-        elif method == "uld":
+        else:  # uld; allocate_nfe has rejected every other method
             tau = config.uld_tau_scale * config.eps / math.sqrt(mix.dim * L_k)
             gamma = config.uld_gamma_scale * 2.0 * math.sqrt(6.0 * L_k)
             specs.append(UldSpec(steps=s_k, tau=tau, gamma=gamma,
                                  init="warm" if warm else "gaussian"))
-        else:
-            raise ValueError(f"unknown method {method!r}")
     return specs
 
 
@@ -380,18 +376,22 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
     futures = {}
     if workers > 1 and len(units) > 1:
         import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
 
         with ProcessPoolExecutor(min(workers, len(units)),
                                  mp_context=multiprocessing.get_context("spawn"),
                                  initializer=_start_worker, initargs=(config, schedule)) as pool:
             for unit in sorted(units, key=lambda u: -u[3]):  # longest budget first
                 futures[unit] = pool.submit(_run_unit, unit)
+            wait(futures.values(), return_when=FIRST_EXCEPTION)
+            pool.shutdown(cancel_futures=True)  # a failure drops the units not yet started
     else:
         context = _unit_context(config, schedule)
     report = RunReport(config, [], {})
     for unit in units:
         _, method, _, budget = unit
+        if futures and futures[unit].cancelled():
+            continue
         try:
             row, x, warn = futures[unit].result() if futures else _run_unit(unit, context)
         except Exception as exc:  # a worker that died raises BrokenProcessPool here

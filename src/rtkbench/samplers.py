@@ -459,29 +459,22 @@ def rtk_run(oracle: ScoreOracle, schedule, specs, n_chains: int,
     state = ChainState(rng.standard_normal((n_chains, dim)), rng)
     traces: list[SegmentTrace] = []
     for seg, spec in zip(segments, specs):
+        if not isinstance(spec, (UlaSpec, MalaSpec, UldSpec)):
+            raise TypeError(f"rtk_run cannot drive {type(spec).__name__}")
         target = RtkTarget(oracle, seg.t_base, seg.eta, state.positions)
         accepts0, proposals0 = state.accept_count, state.propose_count
+        if isinstance(spec, UldSpec) and spec.init == "gaussian":
+            state.positions, state.velocity = uld_init(seg, (n_chains, dim), state.rng)
+        elif not isinstance(spec, UlaSpec) or seg.index == 0:
+            state.positions = mala_init(seg, state.positions).sample(state.rng)
+            if isinstance(spec, UldSpec):
+                state.velocity = state.rng.standard_normal((n_chains, dim))
         if isinstance(spec, MalaSpec):
-            init = mala_init(seg, state.positions)
-            state.positions = init.sample(state.rng)
             mala_run(target, spec, state)
         elif isinstance(spec, UlaSpec):
-            if seg.index == 0:
-                init = mala_init(seg, state.positions)
-                state.positions = init.sample(state.rng)
             ula_run(target, spec, state)
-        elif isinstance(spec, UldSpec):
-            if spec.init == "warm":
-                init = mala_init(seg, state.positions)
-                state.positions = init.sample(state.rng)
-                state.velocity = state.rng.standard_normal((n_chains, dim))
-            else:
-                z, v = uld_init(seg, (n_chains, dim), state.rng)
-                state.positions = z
-                state.velocity = v
-            uld_run(target, spec, state)
         else:
-            raise TypeError(f"rtk_run cannot drive {type(spec).__name__}")
+            uld_run(target, spec, state)
         traces.append(SegmentTrace(seg.index, seg.t_base, spec.steps,
                                    state.accept_count - accepts0,
                                    state.propose_count - proposals0))

@@ -17,7 +17,6 @@ import functools
 import hashlib
 import math
 import operator
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -35,7 +34,6 @@ __all__ = [
 ]
 
 _TIME_QUANTUM = 1e-9  # time resolution used when hashing error-field queries
-_TIME_CONSTANTS_KEPT = 16  # query times per mixture whose kernel constants are kept
 
 
 def _readonly(a: Array) -> Array:
@@ -58,8 +56,7 @@ class IsotropicGaussianMixture:
     weights: Array    # (K,)
     means: Array      # (K, d)
     variances: Array  # (K,)
-    _constants: OrderedDict = field(default_factory=OrderedDict, init=False,
-                                    repr=False, compare=False)
+    _constants: tuple = field(default=(None, None), init=False, repr=False, compare=False)
 
     def __post_init__(self):
         w = _readonly(self.weights)
@@ -80,7 +77,7 @@ class IsotropicGaussianMixture:
         object.__setattr__(self, "variances", v)
 
     def __reduce__(self):
-        """Unpickle through __post_init__: checks re-run, arrays read-only, memo empty."""
+        """Unpickle through __post_init__: checks re-run, arrays read-only, slot empty."""
         return type(self), (self.weights, self.means, self.variances)
 
     @property
@@ -111,13 +108,13 @@ class IsotropicGaussianMixture:
                    np.full(n_components, variance))
 
     def _time_constants(self, t: float) -> tuple[Array, ...]:
-        """(A, bias, 0.5 / v, 1 / v) at time t, memoized first-in first-out.
+        """(A, bias, 0.5 / v, 1 / v) at time t, kept for the last query time only.
 
         log w_k N(x; mu_k, v_k I) = A_k x + bias_k - ||x||^2 / (2 v_k) for the
         diffused means mu and variances v, so A = mu / v and bias holds the rest.
         """
-        found = self._constants.get(t)
-        if found is not None:
+        last, found = self._constants
+        if last == t:
             return found
         decay = math.exp(-t)
         means = self.means * decay                                    # (K, d)
@@ -126,9 +123,7 @@ class IsotropicGaussianMixture:
         bias = (np.log(self.weights) - 0.5 * self.dim * np.log(2.0 * np.pi * var)
                 - half * np.einsum("kd,kd->k", means, means))
         found = tuple(_readonly(c) for c in (means / var[:, None], bias, half, 1.0 / var))
-        self._constants[t] = found
-        while len(self._constants) > _TIME_CONSTANTS_KEPT:
-            self._constants.popitem(last=False)
+        object.__setattr__(self, "_constants", (t, found))
         return found
 
     def second_moment(self) -> float:

@@ -4,6 +4,7 @@ import importlib
 import math
 import os
 import sys
+import time
 import warnings
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field, replace
@@ -346,6 +347,22 @@ def _start_dying_ddpm_worker(config, schedule):
     bench.ddpm_run = lambda *args: os._exit(3)
 
 
+def _start_slow_ddpm_worker(config, schedule):
+    """A pool initializer whose units mark their start under output_dir, fail
+    at the longest budget and sleep 0.5 s at every other."""
+    bench._start_worker(config, schedule)
+    real = bench.ddpm_run
+
+    def slow(oracle, horizon, steps, *args):
+        (Path(config.output_dir) / f"started-{steps}").touch()
+        if steps == max(config.nfe_budgets):
+            raise RuntimeError(f"planted at {steps} steps")
+        time.sleep(0.5)
+        return real(oracle, horizon, steps, *args)
+
+    bench.ddpm_run = slow
+
+
 class TestRunExperiment:
     def test_grid_shape(self, report):
         cfg = report.config
@@ -402,6 +419,17 @@ class TestRunExperiment:
         monkeypatch.setattr(bench, "_start_worker", start)
         with pytest.raises(ValueError, match=message):
             run_experiment(small_config(methods=("ddpm",)))
+
+    def test_failed_worker_unit_cancels_the_rest(self, monkeypatch, tmp_path):
+        # Two workers and a call queue three deep put at most six units in
+        # flight by the time the failure is seen, so two of eight stay unstarted.
+        monkeypatch.setenv("RTKBENCH_WORKERS", "2")
+        monkeypatch.setattr(bench, "_start_worker", _start_slow_ddpm_worker)
+        config = small_config(methods=("ddpm",), nfe_budgets=tuple(range(12, 97, 12)),
+                              output_dir=str(tmp_path))
+        with pytest.raises(ValueError, match="^ddpm@96: RuntimeError: planted at 96 steps$"):
+            run_experiment(config)
+        assert 0 < len(list(tmp_path.glob("started-*"))) < len(config.nfe_budgets)
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError, match="nuts"):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from rtkbench import bench, cli
+from rtkbench import bench, cli, targets
 from rtkbench.bench import config_from_text, config_to_text, paper_preset
 from rtkbench.cli import main
 from rtkbench.metrics import MetricsRow
@@ -258,6 +258,24 @@ class TestPresetCommand:
         assert exc.value.code == 2
 
 
+# Check name -> (owner, attribute, defect built from the real value, start of
+# the check's failure message).
+PLANTED_DEFECTS = {
+    "detailed-balance": (cli, "mala_accept_log",
+                         lambda real: lambda *args, **kw: real(*args, **kw) + 1e-6,
+                         "detailed balance violated"),
+    "uld-covariance": (cli, "uld_noise_covariance",
+                       lambda real: lambda g, t: (real(g, t)[0] + 1e-6, *real(g, t)[1:]),
+                       "ULD covariance off by 1.000e-06"),
+    "taylor-estimator": (cli, "taylor_energy_diff",
+                         lambda real: lambda *args, **kw: (real(*args, **kw)[0] + 1e-6,
+                                                          real(*args, **kw)[1]),
+                         "taylor estimator error"),
+    "error-field": (targets, "_SS_MULT_A", lambda real: real ^ 1,
+                    "SeedSequence(1) state differs from numpy's"),
+}
+
+
 class TestSelftest:
     def test_all_checks_report_ok(self, capsys):
         assert main(["selftest"]) == 0
@@ -267,13 +285,14 @@ class TestSelftest:
         assert "FAIL" not in out
         assert "all 6 checks passed" in out
 
-    def test_failed_check_is_reported(self, monkeypatch, capsys):
-        real = cli.uld_noise_covariance
-        monkeypatch.setattr(cli, "uld_noise_covariance",
-                            lambda g, t: (real(g, t)[0] + 1e-6, *real(g, t)[1:]))
+    @pytest.mark.parametrize("check", list(PLANTED_DEFECTS))
+    def test_failed_check_is_reported(self, monkeypatch, capsys, check):
+        owner, name, plant, message = PLANTED_DEFECTS[check]
+        monkeypatch.setattr(owner, name, plant(getattr(owner, name)))
         assert main(["selftest"]) == 1
         out = capsys.readouterr().out
-        assert "FAIL - uld-covariance: ULD covariance off by 1.000e-06" in out
+        failed = [line for line in out.splitlines() if line.startswith("FAIL")]
+        assert len(failed) == 1 and failed[0].startswith(f"FAIL - {check}: {message}")
         assert out.count("ok - ") == 5
         assert "1 of 6 checks failed" in out
 

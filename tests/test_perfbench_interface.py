@@ -29,7 +29,7 @@ def tracer_module(monkeypatch):
     sys.modules.pop("tracer", None)
 
 
-def test_tracer_sees_every_layer_and_unit(tracer_module):
+def test_tracer_sees_every_layer_and_unit(tracer_module, monkeypatch):
     config = ExperimentConfig(
         mixture=IsotropicGaussianMixture.ring(4, 2, variance=0.05),
         horizon=2.4, methods=METHODS, nfe_budgets=(12, 24), n_samples=40,
@@ -39,12 +39,20 @@ def test_tracer_sees_every_layer_and_unit(tracer_module):
                for m in ("targets", "schedule", "samplers", "metrics", "bench")}
     tracer = tracer_module.Tracer(modules, allocate_nfe, config.nfe_budgets,
                                   config.taylor_order)
+    planned = set()
+    wrap = tracer._wrap
+    monkeypatch.setattr(tracer, "_wrap",
+                        lambda fn, name, *args: planned.add(name) or wrap(fn, name, *args))
     tracer.install()
     try:
         run_experiment(config)
     finally:
         tracer.uninstall()
     assert tracer.missing == []
+    # A layer looked up where the tracer cannot patch it records no span; no
+    # run path calls the bare log density.
+    assert {span[1] for span in tracer.spans} - {"bench.unit"} == planned - {
+        "targets.log_density"}
     assert sorted(u["id"] for u in tracer.units) == sorted(
         f"{m}@{b}" for m in METHODS for b in config.nfe_budgets)
     for unit in tracer.units:

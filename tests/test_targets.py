@@ -63,12 +63,12 @@ class TestMixtureConstruction:
 
     def test_pickle_round_trip_rebuilds_through_the_constructor(self):
         mix = preset_ring()
-        score(mix, 0.3, np.ones((2, 10)))  # fill the kernel-constant memo
+        score(mix, 0.3, np.ones((2, 10)))  # fill the kernel-constant slot
         back = pickle.loads(pickle.dumps(mix))
         for name in ("weights", "means", "variances"):
             np.testing.assert_array_equal(getattr(back, name), getattr(mix, name))
             assert not getattr(back, name).flags.writeable
-        assert len(mix._constants) == 1 and len(back._constants) == 0
+        assert mix._constants[0] == 0.3 and back._constants == (None, None)
         x = np.random.default_rng(3).standard_normal((5, 10))
         np.testing.assert_array_equal(score(back, 0.3, x), score(mix, 0.3, x))
 
@@ -296,8 +296,10 @@ class TestKernel:
         x = np.ones((4, 2))
         for t in np.linspace(0.0, 5.0, 10_000):
             score(mix, t, x)
-        assert len(mix._constants) <= targets._TIME_CONSTANTS_KEPT
-        assert 5.0 in mix._constants  # first in, first out: the latest time is kept
+        assert mix._constants[0] == 5.0  # exactly the last query time is kept
+        want = mix._constants[1]
+        score(mix, 5.0, x)
+        assert mix._constants[1] is want  # a repeated time reuses the slot
 
 
 class TestSampleBase:
