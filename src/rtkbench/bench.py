@@ -299,17 +299,29 @@ def _unit_context(config: ExperimentConfig, schedule) -> tuple:
     return config, schedule, oracle, reference
 
 
-_worker_run = None  # a pool process's _unit_context, set by _start_worker
+_worker_run = None  # a pool process's (_unit_context, cancel event), set by _start_worker
 
 
-def _start_worker(config: ExperimentConfig, schedule) -> None:
+def _start_worker(config: ExperimentConfig, schedule, cancel) -> None:
     global _worker_run
-    _worker_run = _unit_context(config, schedule)
+    _worker_run = _unit_context(config, schedule), cancel
 
 
-def _run_unit(unit: tuple[int, str, int, int], context: tuple | None = None):
-    """(row, samples, warnings) of one unit, in the given or this pool process's run."""
-    config, schedule, oracle, reference = context or _worker_run
+def _pool_unit(unit: tuple[int, str, int, int]):
+    """_run_unit in a pool process; None, unrun, once a unit of the run has failed."""
+    context, cancel = _worker_run
+    if cancel.is_set():
+        return None
+    try:
+        return _run_unit(unit, context)
+    except BaseException:
+        cancel.set()
+        raise
+
+
+def _run_unit(unit: tuple[int, str, int, int], context: tuple):
+    """(row, samples, warnings) of one unit in the run of a _unit_context."""
+    config, schedule, oracle, reference = context
     mi, method, bi, budget = unit
     rng = np.random.default_rng(np.random.SeedSequence(config.master_seed, spawn_key=(mi, bi)))
     start = time.perf_counter()
@@ -378,13 +390,16 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
         import multiprocessing
         from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
 
-        with ProcessPoolExecutor(min(workers, len(units)),
-                                 mp_context=multiprocessing.get_context("spawn"),
-                                 initializer=_start_worker, initargs=(config, schedule)) as pool:
+        spawn = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(min(workers, len(units)), mp_context=spawn,
+                                 initializer=_start_worker,
+                                 initargs=(config, schedule, spawn.Event())) as pool:
             for unit in sorted(units, key=lambda u: -u[3]):  # longest budget first
-                futures[unit] = pool.submit(_run_unit, unit)
+                futures[unit] = pool.submit(_pool_unit, unit)
             wait(futures.values(), return_when=FIRST_EXCEPTION)
-            pool.shutdown(cancel_futures=True)  # a failure drops the units not yet started
+            # A failure drops the units not yet handed to a worker; the event
+            # makes the workers skip those already queued.
+            pool.shutdown(cancel_futures=True)
     else:
         context = _unit_context(config, schedule)
     report = RunReport(config, [], {})
@@ -393,9 +408,12 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
         if futures and futures[unit].cancelled():
             continue
         try:
-            row, x, warn = futures[unit].result() if futures else _run_unit(unit, context)
+            done = futures[unit].result() if futures else _run_unit(unit, context)
         except Exception as exc:  # a worker that died raises BrokenProcessPool here
             raise ValueError(f"{method}@{budget}: {type(exc).__name__}: {exc}") from exc
+        if done is None:  # skipped after another unit failed
+            continue
+        row, x, warn = done
         report.rows.append(row)
         report.samples[(method, budget)] = x
         report.warnings.extend(warn)

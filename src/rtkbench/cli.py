@@ -209,25 +209,58 @@ def _check_determinism() -> None:
         raise AssertionError("repeated run changed CSV rows")
 
 
+def _ziggurat_lanes(seed: int, dim: int) -> set[str]:
+    """The ziggurat lanes that Generator(PCG64(seed)).standard_normal(dim)
+    takes, told apart by PCG64 word counts alone, without numpy's tables.
+
+    A fast draw reads one word and a wedge draw that accepts reads two.  A
+    draw that reads more either went to the tail (the layer, its first
+    word's low byte, is 0) or rejected a wedge candidate and drew again.
+    """
+    gen, raw = np.random.Generator(np.random.PCG64(seed)), np.random.PCG64(seed)
+    lanes = set()
+    for _ in range(dim):
+        layer = int(raw.random_raw()) & 0xFF
+        gen.standard_normal()
+        words = 1
+        while raw.state != gen.bit_generator.state:
+            if words == 64:
+                raise AssertionError(f"a normal draw from PCG64({seed}) ended on no whole word")
+            raw.random_raw()
+            words += 1
+        lanes.add("fast" if words == 1 else "wedge-accept" if words == 2
+                  else "tail" if layer == 0 else "wedge-reject")
+    return lanes
+
+
 def _check_error_field() -> None:
-    # The batched seeding re-implements SeedSequence and PCG64's srandom;
-    # a numpy release that changes either must fail here.
+    # The batched seeding re-implements SeedSequence, PCG64 and numpy's
+    # ziggurat with its tables; a numpy release that changes any of them
+    # must fail here.
     for n in (1, 2**40 + 3, 2**127 + 5):
         words = np.frombuffer(n.to_bytes(16, "little"), dtype="<u4").reshape(1, 4)
         if not np.array_equal(_seed_sequence_state(words)[0],
                               np.random.SeedSequence(n).generate_state(4, np.uint64)):
             raise AssertionError(f"SeedSequence({n}) state differs from numpy's")
-    payloads = [i.to_bytes(8, "little") for i in range(20)]
+    # Payloads 654 and 952 hold tail draws; the first 40 hold wedge draws
+    # that accept and that reject.
+    payloads = [i.to_bytes(8, "little") for i in (*range(40), 654, 952)]
     for dim in (2, 10):
+        lanes = set()
         for batch in (payloads, payloads[:1]):
             for payload, row in zip(batch, _hashed_unit_directions(batch, dim)):
                 digest = hashlib.blake2b(payload, digest_size=16).digest()
-                g = np.random.Generator(np.random.PCG64(int.from_bytes(digest, "little")))
-                vec = g.standard_normal(dim)
+                seed = int.from_bytes(digest, "little")
+                vec = np.random.Generator(np.random.PCG64(seed)).standard_normal(dim)
                 if not np.array_equal(row, vec / np.linalg.norm(vec)):
                     raise AssertionError(
                         f"error-field direction for payload {payload.hex()} (d={dim}) "
                         "differs from numpy's PCG64(int) path")
+                lanes |= _ziggurat_lanes(seed, dim)
+        missing = {"fast", "wedge-accept", "wedge-reject", "tail"} - lanes
+        if missing:
+            raise AssertionError(f"error-field batch (d={dim}) took no {sorted(missing)} "
+                                 "draw: numpy's ziggurat changed")
 
 
 _SELFTEST_CHECKS = (

@@ -22,6 +22,8 @@ from typing import Sequence
 
 import numpy as np
 
+from . import _ziggurat
+
 Array = np.ndarray
 
 __all__ = [
@@ -203,9 +205,16 @@ def sample_base(mix: IsotropicGaussianMixture, n: int, rng: np.random.Generator)
 _SS_INIT_A, _SS_MULT_A = 0x43B0D7E5, 0x931E8875
 _SS_INIT_B, _SS_MULT_B = 0x8B51F9DD, 0x58F38DED
 _SS_MIX_L, _SS_MIX_R = 0xCA01F9DD, 0x4973F715
-_U32 = 0xFFFFFFFF
-_U128 = (1 << 128) - 1
+_U32, _U64, _U128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_PCG_MULT_LIMBS = tuple(np.uint64(v) for v in (_PCG_MULT >> 64, _PCG_MULT & _U64))
+# numpy's ziggurat tables; the PCG64 words a row may read beyond one per
+# normal, enough for a few wedge draws; and the relative margin within which
+# a wedge test is left to numpy's own generator.
+_ZIG_KI, _ZIG_WI, _ZIG_FI = (np.array(t, dtype=dt) for t, dt in (
+    (_ziggurat.KI, np.uint64), (_ziggurat.WI, np.float64), (_ziggurat.FI, np.float64)))
+_SPARE_WORDS = 4
+_WEDGE_MARGIN = 2.0**-48
 
 
 def _seed_sequence_state(entropy: Array) -> Array:
@@ -245,17 +254,164 @@ def _seed_sequence_state(entropy: Array) -> Array:
     return words.view("<u8").astype(np.uint64)
 
 
-def _pcg64_states(digests: bytes) -> list[tuple[int, int]]:
-    """(state, inc) of PCG64(int.from_bytes(d, "little")) per 16-byte digest d."""
-    seeds = _seed_sequence_state(np.frombuffer(digests, dtype="<u4").reshape(-1, 4))
-    out = []
-    for s0, s1, s2, s3 in seeds.tolist():
-        # PCG64's srandom: inc = 2 initseq + 1, then two LCG steps from
-        # state 0 with initstate added in between; the first step yields inc.
-        inc = ((((s2 << 64) | s3) << 1) | 1) & _U128
-        initstate = (s0 << 64) | s1
-        out.append((((initstate + inc) * _PCG_MULT + inc) & _U128, inc))
+def _mul128(ah, al, bh, bl):
+    """(hi, lo) uint64 limbs of a * b mod 2^128.
+
+    The high half of al * bl is built from 32-bit partial products; the
+    partial sums stay below 2^64.  Temporaries are reused in place.
+    """
+    a0, a1, b0, b1 = al & _U32, al >> 32, bl & _U32, bl >> 32
+    t = a0 * b0
+    t >>= 32
+    u = a1 * b0
+    u += t
+    v = a0 * b1
+    v += np.bitwise_and(u, _U32, out=t)
+    hi = a1 * b1
+    u >>= 32
+    hi += u
+    v >>= 32
+    hi += v
+    hi += np.multiply(al, bh, out=t)
+    hi += np.multiply(ah, bl, out=t)
+    return hi, np.multiply(al, bl, out=u)
+
+
+def _add128(ah, al, bh, bl):
+    lo = al + bl
+    hi = ah + bh
+    hi += lo < bl
+    return hi, lo
+
+
+@functools.lru_cache(maxsize=64)
+def _pcg64_jumps(k: int) -> tuple[Array, ...]:
+    """(hi, lo) limbs of M^j, then of sum_(i<j) M^i, as (k, 1) columns for
+    j = 1..k, M the LCG multiplier.
+
+    j LCG steps take state s to M^j s + (sum_(i<j) M^i) inc mod 2^128.
+    """
+    power, total, powers, totals = 1, 0, [], []
+    for _ in range(k):
+        total = (total + power) & _U128
+        power = (power * _PCG_MULT) & _U128
+        powers.append(power)
+        totals.append(total)
+    table = np.array([(v >> 64, v & _U64) for v in powers + totals], dtype=np.uint64)
+    return table[:k, :1], table[:k, 1:], table[k:, :1], table[k:, 1:]
+
+
+def _pcg64_states(seeds: Array) -> tuple[Array, Array, Array, Array]:
+    """(state hi, state lo, inc hi, inc lo) of PCG64 seeded with each row of
+    SeedSequence words seeds (m, 4) uint64, as uint64 limbs."""
+    s0, s1, s2, s3 = seeds.T
+    inc_hi, inc_lo = (s2 << 1) | (s3 >> 63), (s3 << 1) | 1  # inc = 2 initseq + 1
+    # PCG64's srandom: two LCG steps from state 0 with initstate added in
+    # between; the first step yields inc.
+    hi, lo = _add128(s0, s1, inc_hi, inc_lo)
+    hi, lo = _mul128(hi, lo, *_PCG_MULT_LIMBS)
+    hi, lo = _add128(hi, lo, inc_hi, inc_lo)
+    return hi, lo, inc_hi, inc_lo
+
+
+def _pcg64_ahead(hi: Array, lo: Array, inc_hi: Array, inc_lo: Array,
+                 k: int) -> tuple[Array, Array]:
+    """(hi, lo) limbs, each (k, m), of the states 1..k LCG steps after each
+    PCG64 state (hi, lo) with increment (inc_hi, inc_lo).
+
+    Step j takes s to M^j s + (sum_(i<j) M^i) inc, one jump-ahead
+    multiply-add.  States run along the last axis, so each numpy call
+    sweeps m contiguous values.
+    """
+    ah, al, bh, bl = _pcg64_jumps(k)
+    return _add128(*_mul128(ah, al, hi, lo), *_mul128(bh, bl, inc_hi, inc_lo))
+
+
+def _xsl_rr(hi: Array, lo: Array) -> Array:
+    """PCG64's 64-bit output of each state: hi ^ lo rotated right by the top 6 bits."""
+    word, rot = hi ^ lo, hi >> 58
+    out = word >> rot
+    np.subtract(64, rot, out=rot)
+    rot &= 63
+    word <<= rot
+    out |= word
     return out
+
+
+def _ziggurat_candidates(words: Array) -> tuple[Array, Array, Array]:
+    """(layer, value, fast) of each word read as a ziggurat candidate draw."""
+    layer = words.astype(np.uint8)  # the low byte
+    rabs = words >> 9
+    rabs &= 0xFFFFFFFFFFFFF
+    x = rabs * _ZIG_WI[layer]
+    sign = words >> 8
+    sign &= 1
+    sign <<= 63
+    bits = x.view(np.uint64)
+    bits ^= sign  # x = -x where the sign bit is set
+    return layer, x, rabs < _ZIG_KI[layer]
+
+
+def _standard_normals(limbs: tuple[Array, ...], dim: int) -> tuple[Array, Array]:
+    """(values (m, dim), undecided (m,) bool): Generator(PCG64).standard_normal(dim)
+    for each PCG64 state limbs = (hi, lo, inc hi, inc lo), in lockstep.
+
+    This is random_standard_normal's ziggurat.  A fast draw takes one word;
+    a wedge draw takes one more word as next_double and is redrawn when
+    rejected.  Rows whose first dim words are all fast are done in one pass;
+    the rest read up to _SPARE_WORDS more words.  A row is left undecided,
+    its values unset, when it meets a tail draw, runs out of words, or meets
+    a wedge test within _WEDGE_MARGIN (relative) of its bound, where np.exp
+    need not match libm's exp to the last bit.  A lone row, the single-cell
+    cache's miss, is left undecided whole: for it the per-row path is far
+    cheaper than the few hundred numpy calls of the lockstep pass.
+    """
+    if limbs[0].shape[0] == 1:
+        return np.empty((1, dim)), np.ones(1, dtype=bool)
+    hi, lo = _pcg64_ahead(*limbs, dim)
+    words = _xsl_rr(hi, lo)  # (dim, m)
+    _, x, fast = _ziggurat_candidates(words)
+    values = np.ascontiguousarray(x.T)
+    undecided = np.zeros(values.shape[0], dtype=bool)
+    hard = np.flatnonzero(~fast.all(axis=0))
+    if hard.size == 0:
+        return values, undecided
+    spare = _pcg64_ahead(hi[-1, hard], lo[-1, hard], limbs[2][hard], limbs[3][hard],
+                         _SPARE_WORDS)
+    words = np.vstack([words[:, hard], _xsl_rr(*spare)]).T
+    layer, x, fast = _ziggurat_candidates(words)
+    k = words.shape[1]
+    take = fast.copy()  # the words whose candidate becomes a draw
+    pending = ~fast     # slow words not yet read as a candidate or a uniform
+    bad = np.zeros(hard.size, dtype=bool)
+    rows = np.arange(hard.size)
+    while True:
+        # A row's first pending word is its next candidate, unless the row
+        # has its dim draws before it.
+        q = pending.argmax(axis=1)
+        live = pending[rows, q] & (np.cumsum(take, axis=1)[rows, q] < dim) & ~bad
+        if not live.any():
+            break
+        r, q = rows[live], q[live]
+        i = layer[r, q]
+        stuck = (i == 0) | (q + 1 >= k)  # a tail draw, or no word left for the uniform
+        bad[r[stuck]] = True
+        r, q, i = r[~stuck], q[~stuck], i[~stuck]
+        u = (words[r, q + 1] >> 11) * (1.0 / 9007199254740992.0)
+        test = (_ZIG_FI[i - 1] - _ZIG_FI[i]) * u + _ZIG_FI[i]
+        xq = x[r, q]
+        bound = np.exp(-0.5 * xq * xq)
+        margin = bound * _WEDGE_MARGIN
+        accept = test < bound - margin
+        bad[r[~accept & (test <= bound + margin)]] = True
+        take[r, q], take[r, q + 1] = accept, False
+        pending[r, q], pending[r, q + 1] = False, False
+    take &= np.cumsum(take, axis=1) <= dim
+    bad |= take.sum(axis=1) < dim
+    good = ~bad
+    values[hard[good]] = x[good][take[good]].reshape(-1, dim)
+    undecided[hard[bad]] = True
+    return values, undecided
 
 
 def _hashed_unit_directions(payloads: Sequence[bytes], dim: int) -> Array:
@@ -264,19 +420,23 @@ def _hashed_unit_directions(payloads: Sequence[bytes], dim: int) -> Array:
     Row i is bit-equal to the per-row derivation
     g = Generator(PCG64(int.from_bytes(blake2b(payload, digest_size=16), "little")));
     v = g.standard_normal(dim); v / np.linalg.norm(v), redrawing from g
-    while the norm is 0.  The seeding runs as one SeedSequence pass over
-    the batch; one generator is then set to each row's state in turn.
+    while the norm is 0.  The seeding, the PCG64 draws and the ziggurat run
+    in lockstep over the batch; a row the ziggurat leaves undecided is drawn
+    by one generator set to that row's state.
     """
     digests = [hashlib.blake2b(p, digest_size=16).digest() for p in payloads]
-    out = np.empty((len(digests), dim))
-    gen = np.random.Generator(np.random.PCG64(0))
-    bg = gen.bit_generator
-    inner = {"state": 0, "inc": 0}
-    state = {"bit_generator": "PCG64", "state": inner, "has_uint32": 0, "uinteger": 0}
-    for row, (start, inc) in zip(out, _pcg64_states(b"".join(digests))):
-        inner["state"], inner["inc"] = start, inc
-        bg.state = state
-        gen.standard_normal(out=row)
+    seeds = _seed_sequence_state(np.frombuffer(b"".join(digests), dtype="<u4").reshape(-1, 4))
+    limbs = _pcg64_states(seeds)
+    out, undecided = _standard_normals(limbs, dim)
+    if undecided.any():
+        gen = np.random.Generator(np.random.PCG64(0))
+        inner = {"state": 0, "inc": 0}
+        state = {"bit_generator": "PCG64", "state": inner, "has_uint32": 0, "uinteger": 0}
+        for i in np.flatnonzero(undecided):
+            hi, lo, inc_hi, inc_lo = (int(limb[i]) for limb in limbs)
+            inner["state"], inner["inc"] = (hi << 64) | lo, (inc_hi << 64) | inc_lo
+            gen.bit_generator.state = state
+            gen.standard_normal(out=out[i])
     # A stacked vector-vector matmul is the same dot product as the 1-D
     # np.linalg.norm, bit for bit; a row-wise sum is not.
     norms = np.sqrt(np.matmul(out[:, None, :], out[:, :, None])[:, 0, 0])

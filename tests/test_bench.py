@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rtkbench import bench, targets
+from rtkbench import bench, samplers, targets
 from rtkbench.bench import (
     DIVERGED_FACTOR,
     METHODS,
@@ -27,6 +27,7 @@ from rtkbench.bench import (
     emit_csv,
     emit_plot,
     load_config,
+    mixture_from_mapping,
     paper_preset,
     run_experiment,
     segment_curvature,
@@ -328,9 +329,9 @@ def report():
     return run_experiment(small_config())
 
 
-def _start_failing_ddpm_worker(config, schedule):
+def _start_failing_ddpm_worker(config, schedule, cancel):
     """A pool initializer whose process fails its ddpm unit at 24 steps."""
-    bench._start_worker(config, schedule)
+    bench._start_worker(config, schedule, cancel)
     real = bench.ddpm_run
 
     def failing(oracle, horizon, steps, *args):
@@ -341,16 +342,16 @@ def _start_failing_ddpm_worker(config, schedule):
     bench.ddpm_run = failing
 
 
-def _start_dying_ddpm_worker(config, schedule):
+def _start_dying_ddpm_worker(config, schedule, cancel):
     """A pool initializer whose process exits in the middle of a ddpm unit."""
-    bench._start_worker(config, schedule)
+    bench._start_worker(config, schedule, cancel)
     bench.ddpm_run = lambda *args: os._exit(3)
 
 
-def _start_slow_ddpm_worker(config, schedule):
+def _start_slow_ddpm_worker(config, schedule, cancel):
     """A pool initializer whose units mark their start under output_dir, fail
     at the longest budget and sleep 0.5 s at every other."""
-    bench._start_worker(config, schedule)
+    bench._start_worker(config, schedule, cancel)
     real = bench.ddpm_run
 
     def slow(oracle, horizon, steps, *args):
@@ -421,15 +422,16 @@ class TestRunExperiment:
             run_experiment(small_config(methods=("ddpm",)))
 
     def test_failed_worker_unit_cancels_the_rest(self, monkeypatch, tmp_path):
-        # Two workers and a call queue three deep put at most six units in
-        # flight by the time the failure is seen, so two of eight stay unstarted.
+        # The failing unit goes first and sets the run's cancel event at
+        # once, so besides it only the unit the other worker already runs
+        # starts; the units in the call queue are skipped unrun.
         monkeypatch.setenv("RTKBENCH_WORKERS", "2")
         monkeypatch.setattr(bench, "_start_worker", _start_slow_ddpm_worker)
         config = small_config(methods=("ddpm",), nfe_budgets=tuple(range(12, 97, 12)),
                               output_dir=str(tmp_path))
         with pytest.raises(ValueError, match="^ddpm@96: RuntimeError: planted at 96 steps$"):
             run_experiment(config)
-        assert 0 < len(list(tmp_path.glob("started-*"))) < len(config.nfe_budgets)
+        assert 0 < len(list(tmp_path.glob("started-*"))) <= 2
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError, match="nuts"):
@@ -507,18 +509,36 @@ class TestNfeAudit:
         specs = build_specs(config, schedule, method, budget)
         return rtk_run(oracle, schedule, specs, config.n_samples, rng)[0]
 
-    @pytest.mark.parametrize("method", METHODS)
-    def test_score_rows_match_charged_nfe(self, method):
+    @classmethod
+    def audit(cls, method, budget):
+        """Assert that a unit's oracle evaluates the score rows it charges."""
         mix = IsotropicGaussianMixture.ring(4, 2, variance=0.05)
         config = small_config(mixture=mix, score_error=0.5, error_cell=1e6)
-        for budget in config.nfe_budgets:
-            oracle = CountingOracle(mix, score_error=0.5, error_cell=1e6)
-            state = self.run_unit(config, method, budget, oracle)
-            charged = state.nfe
-            if method == "mala_es":  # Taylor steps may reuse score(z)
-                assert 0 < oracle.rows[0] <= charged
-            else:
-                assert oracle.rows[0] == charged
+        oracle = CountingOracle(mix, score_error=0.5, error_cell=1e6)
+        charged = cls.run_unit(config, method, budget, oracle).nfe
+        if method == "mala_es":  # Taylor steps may reuse score(z)
+            assert 0 < oracle.rows[0] <= charged
+        else:
+            assert oracle.rows[0] == charged
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_score_rows_match_charged_nfe(self, method):
+        for budget in small_config().nfe_budgets:
+            self.audit(method, budget)
+
+    def test_an_uncharged_score_row_fails_the_audit(self, monkeypatch):
+        real = samplers.ula_step
+        planted = []
+
+        def leaky(target, state, tau):
+            if not planted:  # one score row, once, that the unit never charges
+                planted.append(target.grad_energy(state.positions[:1]))
+            return real(target, state, tau)
+
+        monkeypatch.setattr(samplers, "ula_step", leaky)
+        with pytest.raises(AssertionError):
+            self.audit("ula", 12)
+        assert len(planted) == 1
 
     def test_exact_mala_makes_no_log_density_pass(self, monkeypatch):
         calls = []
@@ -574,13 +594,25 @@ class TestEmitCsv:
                                    nfe_budgets=(200,))),
         ("chain_field_golden.csv", dict(methods=("ddpm", "uld"), nfe_budgets=(50,),
                                         error_cell=1e-6, energy_error=0.05)),
-    ], ids=["theory", "chain-field"])
+        ("standard_normal_golden.csv", dict(
+            mixture={"mixture.kind": "standard_normal", "mixture.dim": "2"},
+            nfe_budgets=(50,), error_cell=1e-6, energy_error=0.05)),
+        ("explicit_golden.csv", dict(
+            mixture={"mixture.file": "explicit_mixture.txt"},
+            nfe_budgets=(50,), error_cell=1e-6, energy_error=0.05)),
+    ], ids=["theory", "chain-field", "standard-normal", "explicit"])
     def test_reduced_grid_matches_golden_bytes(self, tmp_path, golden, overrides):
         """Reduced preset grids reproduce their golden CSVs byte for byte: the
         theory schedule, the only one whose ULD draws the zero-centered
-        Gaussian init, and DDPM and ULD under one error cell per chain."""
+        Gaussian init; DDPM and ULD under one error cell per chain; and all
+        five methods under one error cell per chain on a standard normal
+        (d = 2) and on an explicit mixture read through mixture.file (d = 32)."""
+        data = Path(__file__).parent / "data"
+        if "mixture" in overrides:
+            overrides = dict(overrides,
+                             mixture=mixture_from_mapping(overrides["mixture"], base_dir=data))
         config = replace(paper_preset(), n_samples=200, reference_size=5000, **overrides)
-        want = (Path(__file__).parent / "data" / golden).read_bytes()
+        want = (data / golden).read_bytes()
         assert emit_csv(run_experiment(config), tmp_path / "results.csv").read_bytes() == want
 
 

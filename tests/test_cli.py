@@ -1,5 +1,8 @@
 """CLI tests: argument handling, artifact emission, selftest output."""
 
+import hashlib
+
+import numpy as np
 import pytest
 
 from rtkbench import bench, cli, targets
@@ -258,21 +261,36 @@ class TestPresetCommand:
         assert exc.value.code == 2
 
 
-# Check name -> (owner, attribute, defect built from the real value, start of
-# the check's failure message).
+def _zero_ki_of_first_draw(ki):
+    """ki with the entry of the error-field check's first draw set to 0.
+
+    That draw (payload 0, d = 2) is a fast draw; with ki = 0 it turns into a
+    wedge draw, which reads one more PCG64 word.
+    """
+    digest = hashlib.blake2b(bytes(8), digest_size=16).digest()
+    layer = int(np.random.PCG64(int.from_bytes(digest, "little")).random_raw()) & 0xFF
+    ki = ki.copy()
+    ki[layer] = 0
+    return ki
+
+
+# Case -> (owner, attribute, defect built from the real value, the check that
+# fails, start of its failure message).
 PLANTED_DEFECTS = {
     "detailed-balance": (cli, "mala_accept_log",
                          lambda real: lambda *args, **kw: real(*args, **kw) + 1e-6,
-                         "detailed balance violated"),
+                         "detailed-balance", "detailed balance violated"),
     "uld-covariance": (cli, "uld_noise_covariance",
                        lambda real: lambda g, t: (real(g, t)[0] + 1e-6, *real(g, t)[1:]),
-                       "ULD covariance off by 1.000e-06"),
+                       "uld-covariance", "ULD covariance off by 1.000e-06"),
     "taylor-estimator": (cli, "taylor_energy_diff",
                          lambda real: lambda *args, **kw: (real(*args, **kw)[0] + 1e-6,
                                                           real(*args, **kw)[1]),
-                         "taylor estimator error"),
+                         "taylor-estimator", "taylor estimator error"),
     "error-field": (targets, "_SS_MULT_A", lambda real: real ^ 1,
-                    "SeedSequence(1) state differs from numpy's"),
+                    "error-field", "SeedSequence(1) state differs from numpy's"),
+    "ziggurat-table": (targets, "_ZIG_KI", _zero_ki_of_first_draw, "error-field",
+                       "error-field direction for payload 0000000000000000 (d=2)"),
 }
 
 
@@ -285,9 +303,9 @@ class TestSelftest:
         assert "FAIL" not in out
         assert "all 6 checks passed" in out
 
-    @pytest.mark.parametrize("check", list(PLANTED_DEFECTS))
-    def test_failed_check_is_reported(self, monkeypatch, capsys, check):
-        owner, name, plant, message = PLANTED_DEFECTS[check]
+    @pytest.mark.parametrize("case", list(PLANTED_DEFECTS))
+    def test_failed_check_is_reported(self, monkeypatch, capsys, case):
+        owner, name, plant, check, message = PLANTED_DEFECTS[case]
         monkeypatch.setattr(owner, name, plant(getattr(owner, name)))
         assert main(["selftest"]) == 1
         out = capsys.readouterr().out

@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from rtkbench import targets
+from rtkbench import cli, targets
 from rtkbench.targets import (
     IsotropicGaussianMixture,
     ScoreOracle,
@@ -520,6 +520,33 @@ class TestHashedDirections:
         payloads = cell_payloads([[1, 2], [3, 4], [1, 2], [1, 2]])
         got = targets._hashed_unit_directions(payloads, 2)
         np.testing.assert_array_equal(got, [reference_direction(p, 2) for p in payloads])
+
+    @pytest.mark.parametrize("dim", [2, 10, 32])
+    def test_large_batch_takes_every_ziggurat_lane(self, dim):
+        """30,000 rows match the per-row derivation bit for bit, and among
+        them are fast, wedge-accept, wedge-reject and tail draws, told apart
+        by PCG64 word counts without numpy's tables."""
+        rng = np.random.default_rng(100 + dim)
+        payloads = cell_payloads(rng.integers(-10**6, 10**6, size=(30_000, dim)))
+        want = np.array([reference_direction(p, dim) for p in payloads])
+        np.testing.assert_array_equal(targets._hashed_unit_directions(payloads, dim), want)
+        lanes = set()
+        for payload in payloads:
+            digest = hashlib.blake2b(payload, digest_size=16).digest()
+            lanes |= cli._ziggurat_lanes(int.from_bytes(digest, "little"), dim)
+            if len(lanes) == 4:
+                break
+        assert lanes == {"fast", "wedge-accept", "wedge-reject", "tail"}
+
+    @pytest.mark.parametrize("setting, value", [("_SPARE_WORDS", 1), ("_WEDGE_MARGIN", 1.0)],
+                             ids=["out-of-words", "every-wedge-in-margin"])
+    def test_undecided_rows_fall_back_to_the_generator(self, monkeypatch, setting, value):
+        # With one spare word many rows run out of words; with a margin of 1
+        # every wedge test is left undecided.  Those rows take the per-row path.
+        monkeypatch.setattr(targets, setting, value)
+        payloads = cell_payloads(np.random.default_rng(8).integers(-10**6, 10**6, (2000, 10)))
+        want = np.array([reference_direction(p, 10) for p in payloads])
+        np.testing.assert_array_equal(targets._hashed_unit_directions(payloads, 10), want)
 
     @pytest.mark.parametrize("n", [0, 1, 12345, 2**32 - 1, 2**32, 2**64 + 5,
                                    2**96 - 1, 2**96 + 3, 2**128 - 1])
