@@ -1,7 +1,7 @@
 """Diffusion sampling via reverse transition kernels, with a DDPM baseline.
 
 The package splits denoising into per-segment log-concave sampling problems
-(MALA, projected MALA, score-only MALA, ULA, ULD) and benchmarks them against
+(MALA, score-only MALA, ULA, ULD) and benchmarks them against
 one-step Gaussian reversal on Gaussian-mixture targets.  Each module's
 __all__ is its public surface; the package re-exports their union.
 """

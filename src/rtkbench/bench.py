@@ -478,40 +478,59 @@ def _read(key: str, text: str, annotation: str, origin: str):
         raise ValueError(f"{origin}: bad value for {key}: {text!r}") from exc
 
 
+def _unread_key(kv: dict[str, str], read: set[str], scope: str) -> str | None:
+    """The first key of kv that starts with scope and is not in read, if any."""
+    return next((key for key in kv if key.startswith(scope) and key not in read), None)
+
+
 def mixture_from_mapping(kv: dict[str, str], origin: str = "<config>",
                          base_dir: str | Path = ".") -> IsotropicGaussianMixture:
-    """Build the target mixture from mixture.* keys, inline or via a file."""
-    if "mixture.file" in kv:
+    """Build the target mixture from mixture.* keys, inline or via a file.
+
+    Every mixture.* key must be read: mixture.file alone, or mixture.kind
+    and the keys of its kind.  A mixture file holds mixture.* keys only.
+    """
+    scope, visited = "mixture.", []
+    while "mixture.file" in kv:
         path = Path(base_dir) / kv["mixture.file"]
+        visited.append(path.resolve())
+        if visited[-1] in visited[:-1]:
+            cycle = " -> ".join(map(str, visited[visited.index(visited[-1]):]))
+            raise ValueError(f"{origin}: mixture.file cycle: {cycle}")
+        stray = _unread_key(kv, {"mixture.file"}, scope)
+        if stray is not None:
+            raise ValueError(f"{origin}: {stray} next to mixture.file is not read")
         try:
             text = path.read_text()
         except OSError as exc:
             raise ValueError(f"{origin}: cannot read mixture file {path}: {exc}") from exc
-        sub = parse_kv_text(text, origin=str(path))
-        return mixture_from_mapping(sub, origin=str(path), base_dir=path.parent)
+        origin, base_dir, scope = str(path), path.parent, ""
+        kv = parse_kv_text(text, origin=origin)
     kind = kv.get("mixture.kind")
     if kind is None:
         raise ValueError(f"{origin}: missing mixture.kind (or mixture.file)")
+    read = {"mixture.kind"}
 
     def value(key: str, annotation: str, check: str | None = None,
               default: str | None = None):
         if key not in kv and default is None:
             raise ValueError(f"{origin}: mixture.kind = {kind} needs {key}")
+        read.add(key)
         parsed = _read(key, kv.get(key, default), annotation, origin)
         for entry in parsed if isinstance(parsed, tuple) else (parsed,):
             _check(key, entry, check)
         return parsed
 
     if kind == "standard_normal":
-        return IsotropicGaussianMixture.standard_normal(value("mixture.dim", "int", ">= 1"))
-    if kind == "ring":
-        return IsotropicGaussianMixture.ring(
+        mix = IsotropicGaussianMixture.standard_normal(value("mixture.dim", "int", ">= 1"))
+    elif kind == "ring":
+        mix = IsotropicGaussianMixture.ring(
             value("mixture.components", "int", ">= 1", "12"),
             value("mixture.dim", "int", ">= 2", "10"),
             radius=value("mixture.radius", "float", ">= 0", "1.0"),
             variance=value("mixture.variance", "float", "> 0", "0.007"),
         )
-    if kind == "explicit":
+    elif kind == "explicit":
         floats = "tuple[float, ...]"
         weights = value("mixture.weights", floats, ">= 0")
         variances = value("mixture.variances", floats, "> 0")
@@ -526,8 +545,13 @@ def mixture_from_mapping(kv: dict[str, str], origin: str = "<config>",
         if len(variances) != len(weights):
             raise ValueError(f"mixture.variances must have {len(weights)} entries "
                              f"like mixture.weights, got {len(variances)}")
-        return IsotropicGaussianMixture(np.array(weights), np.array(means), np.array(variances))
-    raise ValueError(f"{origin}: unknown mixture.kind {kind!r}")
+        mix = IsotropicGaussianMixture(np.array(weights), np.array(means), np.array(variances))
+    else:
+        raise ValueError(f"{origin}: unknown mixture.kind {kind!r}")
+    stray = _unread_key(kv, read, scope)
+    if stray is not None:
+        raise ValueError(f"{origin}: mixture.kind = {kind} does not read {stray}")
+    return mix
 
 
 def config_from_text(text: str, origin: str = "<config>",

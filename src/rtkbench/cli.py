@@ -217,13 +217,14 @@ def _ziggurat_lanes(seed: int, dim: int) -> set[str]:
     draw that reads more either went to the tail (the layer, its first
     word's low byte, is 0) or rejected a wedge candidate and drew again.
     """
-    gen, raw = np.random.Generator(np.random.PCG64(seed)), np.random.PCG64(seed)
+    bits, raw = np.random.PCG64(seed), np.random.PCG64(seed)
+    gen = np.random.Generator(bits)
     lanes = set()
     for _ in range(dim):
         layer = int(raw.random_raw()) & 0xFF
         gen.standard_normal()
         words = 1
-        while raw.state != gen.bit_generator.state:
+        while raw.state != bits.state:
             if words == 64:
                 raise AssertionError(f"a normal draw from PCG64({seed}) ended on no whole word")
             raw.random_raw()

@@ -1,4 +1,4 @@
-"""Inner-loop samplers: DDPM baseline, ULA, MALA, projected MALA, and ULD.
+"""Inner-loop samplers: DDPM baseline, ULA, MALA, and ULD.
 
 Everything runs vectorized over chains: positions are (n, d) arrays and one
 Generator drives the whole batch, so a run is a pure function of its inputs
@@ -29,7 +29,6 @@ __all__ = [
     "default_projection_params",
     "mala_accept_log",
     "mala_run",
-    "projected_gate",
     "rtk_run",
     "taylor_energy_diff",
     "ula_run",
@@ -69,14 +68,11 @@ class MalaSpec:
     estimator "exact" uses the oracle's energy-difference query; "taylor"
     reconstructs it from scores alone (order taylor_order on a grid of
     spacing taylor_dt in (0, 1]; None resolves to min(sqrt(score_error), 1)
-    or 1e-3 at run time).  projected adds the stay-unless-inside B(z, r) & B(0, R) gate.
+    or 1e-3 at run time).
     """
 
     steps: int
     tau: float
-    projected: bool = False
-    radius_R: float = 0.0
-    radius_r: float = 0.0
     estimator: str = "exact"
     taylor_order: int = 2
     taylor_dt: float | None = None
@@ -86,8 +82,6 @@ class MalaSpec:
             raise ValueError("steps must be nonnegative")
         if not (self.tau > 0):
             raise ValueError("tau must be positive")
-        if self.projected and not (self.radius_R > self.radius_r > 0):
-            raise ValueError("projection needs R > r > 0")
         if self.estimator not in ("exact", "taylor"):
             raise ValueError(f"unknown estimator {self.estimator!r}")
         if self.taylor_order < 1:
@@ -231,13 +225,6 @@ def mala_accept_log(target, z: Array, z_prop: Array, tau: float, *,
     return neg_energy_diff + (_sqnorm(fwd) - _sqnorm(rev)) / (4.0 * tau)
 
 
-def projected_gate(z: Array, z_prop: Array, r: float, R: float) -> Array:
-    """True where the proposal stays within B(z, r) and B(0, R), closed balls."""
-    z = np.asarray(z, dtype=np.float64)
-    z_prop = np.asarray(z_prop, dtype=np.float64)
-    return (_sqnorm(z_prop - z) <= r * r) & (_sqnorm(z_prop) <= R * R)
-
-
 def default_projection_params(L: float, d: int, m2: float, x0_norm: float,
                               S: int, eps: float) -> tuple[float, float, float]:
     """Theoretical projected-MALA parameters (R, r, tau).
@@ -305,10 +292,7 @@ def mala_run(target, spec: MalaSpec, state: ChainState) -> ChainState:
     The initial score query costs one NFE unit per chain; each subsequent
     proposal costs spec.step_nfe per chain (1 exact, 2^(u-1) score-only).
     The exact estimator also carries log p at the current point, taken from
-    the same mixture pass as each score, so a proposal costs one pass.  The
-    projected gate, when enabled, masks acceptance after the ordinary draws
-    so a gated run replays a standard run bit-for-bit whenever the gate
-    never fires.
+    the same mixture pass as each score, so a proposal costs one pass.
     """
     if spec.steps == 0:
         return state
@@ -341,8 +325,6 @@ def mala_run(target, spec: MalaSpec, state: ChainState) -> ChainState:
         log_a = mala_accept_log(target, z, z_prop, tau, grad_z=grad_z,
                                 grad_prop=grad_prop, neg_energy_diff=r)
         accept = log_u < log_a
-        if spec.projected:
-            accept &= projected_gate(z, z_prop, spec.radius_r, spec.radius_R)
         state.propose_count += state.n_chains
         state.accept_count += int(accept.sum())
         state.nfe += spec.step_nfe * state.n_chains

@@ -218,11 +218,8 @@ class GaussianInit:
             raise ValueError("variance must be positive")
         object.__setattr__(self, "mean", _readonly(self.mean))
 
-    def sample(self, rng: np.random.Generator, n: int | None = None) -> Array:
-        mean = self.mean
-        if n is not None and mean.ndim == 1:
-            mean = np.broadcast_to(mean, (n, mean.shape[-1]))
-        return mean + math.sqrt(self.variance) * rng.standard_normal(mean.shape)
+    def sample(self, rng: np.random.Generator) -> Array:
+        return self.mean + math.sqrt(self.variance) * rng.standard_normal(self.mean.shape)
 
 
 def mala_init(seg: Segment, x_prev: Array) -> GaussianInit:

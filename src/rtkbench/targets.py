@@ -352,30 +352,25 @@ def _ziggurat_candidates(words: Array) -> tuple[Array, Array, Array]:
     return layer, x, rabs < _ZIG_KI[layer]
 
 
-def _standard_normals(limbs: tuple[Array, ...], dim: int) -> tuple[Array, Array]:
-    """(values (m, dim), undecided (m,) bool): Generator(PCG64).standard_normal(dim)
-    for each PCG64 state limbs = (hi, lo, inc hi, inc lo), in lockstep.
+def _standard_normals(limbs: tuple[Array, ...], dim: int) -> Array:
+    """Generator(PCG64).standard_normal(dim) for each PCG64 state limbs =
+    (hi, lo, inc hi, inc lo), in lockstep, shape (m, dim).
 
     This is random_standard_normal's ziggurat.  A fast draw takes one word;
     a wedge draw takes one more word as next_double and is redrawn when
     rejected.  Rows whose first dim words are all fast are done in one pass;
-    the rest read up to _SPARE_WORDS more words.  A row is left undecided,
-    its values unset, when it meets a tail draw, runs out of words, or meets
-    a wedge test within _WEDGE_MARGIN (relative) of its bound, where np.exp
-    need not match libm's exp to the last bit.  A lone row, the single-cell
-    cache's miss, is left undecided whole: for it the per-row path is far
-    cheaper than the few hundred numpy calls of the lockstep pass.
+    the rest read up to _SPARE_WORDS more words.  A row is left unfinished,
+    all zeros, when it meets a tail draw, runs out of words, or meets a
+    wedge test within _WEDGE_MARGIN (relative) of its bound, where np.exp
+    need not match libm's exp to the last bit.
     """
-    if limbs[0].shape[0] == 1:
-        return np.empty((1, dim)), np.ones(1, dtype=bool)
     hi, lo = _pcg64_ahead(*limbs, dim)
     words = _xsl_rr(hi, lo)  # (dim, m)
     _, x, fast = _ziggurat_candidates(words)
     values = np.ascontiguousarray(x.T)
-    undecided = np.zeros(values.shape[0], dtype=bool)
     hard = np.flatnonzero(~fast.all(axis=0))
     if hard.size == 0:
-        return values, undecided
+        return values
     spare = _pcg64_ahead(hi[-1, hard], lo[-1, hard], limbs[2][hard], limbs[3][hard],
                          _SPARE_WORDS)
     words = np.vstack([words[:, hard], _xsl_rr(*spare)]).T
@@ -410,54 +405,53 @@ def _standard_normals(limbs: tuple[Array, ...], dim: int) -> tuple[Array, Array]
     bad |= take.sum(axis=1) < dim
     good = ~bad
     values[hard[good]] = x[good][take[good]].reshape(-1, dim)
-    undecided[hard[bad]] = True
-    return values, undecided
+    values[hard[bad]] = 0.0
+    return values
+
+
+def _row_direction(digest: bytes, dim: int) -> Array:
+    """The error field's defining formula for one row: v / ||v|| with
+    v = Generator(PCG64(int.from_bytes(digest, "little"))).standard_normal(dim),
+    redrawn from the same generator while ||v|| = 0."""
+    gen = np.random.Generator(np.random.PCG64(int.from_bytes(digest, "little")))
+    vec = gen.standard_normal(dim)
+    norm = np.linalg.norm(vec)
+    while norm == 0.0:
+        vec = gen.standard_normal(dim)
+        norm = np.linalg.norm(vec)
+    return vec / norm
 
 
 def _hashed_unit_directions(payloads: Sequence[bytes], dim: int) -> Array:
     """One pseudorandom unit vector per payload, shape (len(payloads), dim).
 
-    Row i is bit-equal to the per-row derivation
-    g = Generator(PCG64(int.from_bytes(blake2b(payload, digest_size=16), "little")));
-    v = g.standard_normal(dim); v / np.linalg.norm(v), redrawing from g
-    while the norm is 0.  The seeding, the PCG64 draws and the ziggurat run
-    in lockstep over the batch; a row the ziggurat leaves undecided is drawn
-    by one generator set to that row's state.
+    Row i is bit-equal to _row_direction(blake2b(payload, digest_size=16), dim).
+    The seeding, the PCG64 draws and the ziggurat run in lockstep over the
+    batch; a row that comes back with norm 0, unfinished by the ziggurat or
+    a true zero draw, is derived by _row_direction itself.
     """
     digests = [hashlib.blake2b(p, digest_size=16).digest() for p in payloads]
     seeds = _seed_sequence_state(np.frombuffer(b"".join(digests), dtype="<u4").reshape(-1, 4))
-    limbs = _pcg64_states(seeds)
-    out, undecided = _standard_normals(limbs, dim)
-    if undecided.any():
-        gen = np.random.Generator(np.random.PCG64(0))
-        inner = {"state": 0, "inc": 0}
-        state = {"bit_generator": "PCG64", "state": inner, "has_uint32": 0, "uinteger": 0}
-        for i in np.flatnonzero(undecided):
-            hi, lo, inc_hi, inc_lo = (int(limb[i]) for limb in limbs)
-            inner["state"], inner["inc"] = (hi << 64) | lo, (inc_hi << 64) | inc_lo
-            gen.bit_generator.state = state
-            gen.standard_normal(out=out[i])
+    out = _standard_normals(_pcg64_states(seeds), dim)
     # A stacked vector-vector matmul is the same dot product as the 1-D
     # np.linalg.norm, bit for bit; a row-wise sum is not.
     norms = np.sqrt(np.matmul(out[:, None, :], out[:, :, None])[:, 0, 0])
-    for i in np.flatnonzero(norms == 0.0):  # astronomically unlikely
-        gen = np.random.Generator(np.random.PCG64(int.from_bytes(digests[i], "little")))
-        gen.standard_normal(out=out[i])
-        while norms[i] == 0.0:
-            gen.standard_normal(out=out[i])
-            norms[i] = np.linalg.norm(out[i])
+    zero = np.flatnonzero(norms == 0.0)
+    norms[zero] = 1.0
     out /= norms[:, None]
+    for i in zero:
+        out[i] = _row_direction(digests[i], dim)
     return out
 
 
 @functools.lru_cache(maxsize=4096)
 def _cell_direction(payload: bytes, dim: int) -> Array:
-    """_hashed_unit_directions([payload], dim)[0], read-only and kept.
+    """_row_direction of the payload's digest, read-only and kept.
 
     The single-cell fast path asks for one direction per query time; the
     bound holds every query time of the preset grid.
     """
-    row = _hashed_unit_directions([payload], dim)[0]
+    row = _row_direction(hashlib.blake2b(payload, digest_size=16).digest(), dim)
     row.flags.writeable = False
     return row
 

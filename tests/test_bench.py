@@ -289,7 +289,7 @@ class TestConfigText:
             preset = importlib.import_module("workloads").PRESET
         finally:
             sys.modules.pop("workloads", None)
-        lines = [line for line in config_to_text(paper_preset()).splitlines()
+        lines = [line for line in config_to_text(bench.paper_preset()).splitlines()
                  if not line.startswith("#")]
         assert lines == [f"{key} = {value}" for key, value in preset.items()]
 

@@ -203,6 +203,41 @@ class TestBadExperimentValues:
         err = self.run_one_line_error(tmp_path, capsys, text)
         assert "schedule.max_outer_steps must be >= 1, got 0" in err
 
+    @pytest.mark.parametrize("mixture, mix_file, message", [
+        ("mixture.kind = ring\nmixture.varaince = 0.5", None,
+         "exp.cfg: mixture.kind = ring does not read mixture.varaince"),
+        ("mixture.kind = standard_normal\nmixture.dim = 2\nmixture.radius = 4", None,
+         "exp.cfg: mixture.kind = standard_normal does not read mixture.radius"),
+        ("mixture.kind = explicit\nmixture.weights = 0.5,0.5\nmixture.variances = 1,1\n"
+         "mixture.means.0 = 0,0\nmixture.means.1 = 1,1\nmixture.means.2 = 2,2", None,
+         "exp.cfg: mixture.kind = explicit does not read mixture.means.2"),
+        ("mixture.file = mix.txt\nmixture.kind = ring", "mixture.kind = standard_normal\n",
+         "exp.cfg: mixture.kind next to mixture.file is not read"),
+        ("mixture.file = mix.txt", "mixture.kind = ring\nmixture.dims = 3\n",
+         "mix.txt: mixture.kind = ring does not read mixture.dims"),
+        ("mixture.file = mix.txt", "mixture.kind = ring\nexperiment.n_samples = 5\n",
+         "mix.txt: mixture.kind = ring does not read experiment.n_samples"),
+    ], ids=["ring-typo", "standard-normal-radius", "extra-mean", "next-to-file",
+            "file-typo", "file-non-mixture-key"])
+    def test_unread_mixture_key_is_named_in_one_line(self, tmp_path, capsys, mixture,
+                                                     mix_file, message):
+        if mix_file is not None:
+            (tmp_path / "mix.txt").write_text(mix_file)
+        text = SMALL_CONFIG.replace("mixture.kind = standard_normal\nmixture.dim = 2", mixture)
+        err = self.run_one_line_error(tmp_path, capsys, text)
+        assert message in err
+
+    @pytest.mark.parametrize("links", [["a.txt", "a.txt"], ["a.txt", "b.txt", "a.txt"]],
+                             ids=["self", "two-files"])
+    def test_mixture_file_cycle_is_named_in_one_line(self, tmp_path, capsys, links):
+        for name, target in zip(links, links[1:]):
+            (tmp_path / name).write_text(f"mixture.file = {target}\n")
+        text = SMALL_CONFIG.replace("mixture.kind = standard_normal\nmixture.dim = 2",
+                                    f"mixture.file = {links[0]}")
+        err = self.run_one_line_error(tmp_path, capsys, text)
+        cycle = " -> ".join(str(tmp_path.resolve() / name) for name in links)
+        assert err.endswith(f"mixture.file cycle: {cycle}\n")
+
     def test_negative_seed_override(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(SMALL_CONFIG)

@@ -1,0 +1,41 @@
+"""Negative controls: each check below must fail once a defect is planted."""
+
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
+
+import pytest
+
+import rtkbench
+import test_bench
+import test_package
+from rtkbench import bench
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_an_extra_public_name_fails_the_surface_check(monkeypatch):
+    monkeypatch.setattr(rtkbench, "__all__", [*rtkbench.__all__, "extra_name"])
+    with pytest.raises(AssertionError):
+        test_package.test_surface_is_pinned()
+
+
+def test_a_changed_preset_value_fails_the_perfbench_key_check(monkeypatch):
+    real = bench.paper_preset
+    monkeypatch.setattr(bench, "paper_preset", lambda: replace(real(), n_samples=1999))
+    with pytest.raises(AssertionError):
+        test_bench.TestConfigText().test_preset_keys_match_perfbench_workloads(monkeypatch)
+
+
+def test_a_runtime_warning_fails_the_suite(tmp_path):
+    # The suite's own pytest configuration, on a test whose only fault is
+    # a RuntimeWarning.
+    (tmp_path / "test_warns.py").write_text(
+        "import numpy as np\n\n\ndef test_log_of_zero():\n    np.log(np.zeros(1))\n")
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-c", str(ROOT / "pyproject.toml"), "--rootdir", str(tmp_path), str(tmp_path)],
+        capture_output=True, text=True, timeout=120)
+    assert run.returncode == 1, run.stdout + run.stderr
+    assert "RuntimeWarning: divide by zero" in run.stdout

@@ -14,7 +14,7 @@ PUBLIC = [
     "default_projection_params", "emit_csv", "emit_plot", "energy_hessian", "eta_for",
     "forward_marginal", "load_config", "log_density", "make_target", "mala_accept_log",
     "mala_init", "mala_run", "marginal_accuracy", "mode_mass", "outer_steps",
-    "paper_preset", "projected_gate", "rtk_run", "run_experiment", "sample_base",
+    "paper_preset", "rtk_run", "run_experiment", "sample_base",
     "score", "second_moment", "taylor_energy_diff", "ula_run", "ula_step", "uld_init",
     "uld_noise_covariance", "uld_noise_pair", "uld_run", "uld_step",
 ]

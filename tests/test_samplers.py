@@ -15,7 +15,6 @@ from rtkbench.samplers import (
     default_projection_params,
     mala_accept_log,
     mala_run,
-    projected_gate,
     rtk_run,
     taylor_energy_diff,
     ula_run,
@@ -209,25 +208,6 @@ class TestMalaAcceptLog:
         np.testing.assert_allclose(lhs, rhs, rtol=1e-10, atol=1e-12)
 
 
-class TestProjectedGate:
-    def test_stay_is_inside(self):
-        z = np.array([[0.5, 0.0]])
-        assert projected_gate(z, z, r=0.1, R=1.0).all()
-
-    def test_outer_ball_boundary(self):
-        z = np.zeros((1, 2))
-        just_out = np.array([[1.0 + 1e-9, 0.0]])
-        on_edge = np.array([[1.0, 0.0]])
-        assert not projected_gate(z, just_out, r=5.0, R=1.0).any()
-        assert projected_gate(z, on_edge, r=5.0, R=1.0).all()
-
-    def test_move_ball_closed(self):
-        z = np.zeros((1, 2))
-        at_r = np.array([[0.3, 0.0]])
-        assert projected_gate(z, at_r, r=0.3, R=10.0).all()
-        assert not projected_gate(z, at_r * (1 + 1e-9), r=0.3, R=10.0).any()
-
-
 class TestDefaultProjectionParams:
     def test_frozen_example(self):
         R, r, tau = default_projection_params(1.0, 1, 1.0, 0.0, 100, 0.1)
@@ -356,28 +336,6 @@ class TestMalaRun:
         np.testing.assert_allclose(a.positions, b.positions, atol=1e-9)
         assert a.accept_count == b.accept_count
 
-    def test_projected_replays_standard_when_gate_silent(self):
-        target = mixture_target(seed=11)
-        wide = MalaSpec(steps=300, tau=0.02, projected=True,
-                        radius_R=1e6, radius_r=1e3)
-        plain = MalaSpec(steps=300, tau=0.02)
-        a = ChainState(np.zeros((32, 2)), np.random.default_rng(12))
-        b = ChainState(np.zeros((32, 2)), np.random.default_rng(12))
-        mala_run(target, wide, a)
-        mala_run(target, plain, b)
-        np.testing.assert_array_equal(a.positions, b.positions)
-        assert a.accept_count == b.accept_count
-
-    def test_tiny_move_radius_freezes_chain(self):
-        target = GaussianTarget(1.0)
-        z0 = np.full((16, 1), 0.3)
-        state = ChainState(z0.copy(), np.random.default_rng(13))
-        mala_run(target, MalaSpec(steps=50, tau=0.05, projected=True,
-                                  radius_R=10.0, radius_r=1e-12), state)
-        np.testing.assert_array_equal(state.positions, z0)
-        assert state.accept_count == 0
-        assert state.propose_count == 50 * 16
-
     def test_determinism(self):
         target = mixture_target(seed=15)
         a = ChainState(np.zeros((16, 2)), np.random.default_rng(16))
@@ -390,8 +348,6 @@ class TestMalaRun:
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             MalaSpec(steps=1, tau=0.0)
-        with pytest.raises(ValueError):
-            MalaSpec(steps=1, tau=0.1, projected=True, radius_R=1.0, radius_r=2.0)
         with pytest.raises(ValueError):
             MalaSpec(steps=1, tau=0.1, estimator="magic")
         with pytest.raises(ValueError, match=r"taylor_dt must lie in \(0, 1\]"):

@@ -224,11 +224,9 @@ class TestMalaInit:
         assert init.variance == pytest.approx(1.0 / 12.0, rel=1e-12)
 
     def test_sample_shapes(self):
-        init = GaussianInit(np.zeros(3), 2.0)
         rng = np.random.default_rng(0)
-        assert init.sample(rng, n=5).shape == (5, 3)
-        init2 = GaussianInit(np.zeros((7, 3)), 2.0)
-        assert init2.sample(rng).shape == (7, 3)
+        assert GaussianInit(np.zeros(3), 2.0).sample(rng).shape == (3,)
+        assert GaussianInit(np.zeros((7, 3)), 2.0).sample(rng).shape == (7, 3)
 
 
 class TestUldInit:

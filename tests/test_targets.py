@@ -516,6 +516,34 @@ class TestHashedDirections:
         np.testing.assert_array_equal(oracle.score(0.7, x), cold)
         np.testing.assert_array_equal(oracle._score_perturbation(0.7, x[:1]), want)
 
+    def test_single_cell_miss_skips_the_lockstep_pass(self, monkeypatch):
+        def lockstep(entropy):
+            raise AssertionError("a single-cell miss ran the batched seeding")
+
+        monkeypatch.setattr(targets, "_seed_sequence_state", lockstep)
+        targets._cell_direction.cache_clear()
+        mix = preset_ring()
+        oracle = ScoreOracle(mix, score_error=0.3, error_seed=5, error_cell=1e6)
+        x = np.random.default_rng(4).standard_normal((50, 10))
+        payload = oracle._cell_keys(oracle._cells(x[:1]), oracle._key_prefix(0.7))[0]
+        want = score(mix, 0.7, x) + 0.3 * reference_direction(payload, 10)
+        np.testing.assert_array_equal(oracle.score(0.7, x), want)
+
+    def test_rows_left_at_zero_take_the_defining_formula(self, monkeypatch):
+        # Whatever the lockstep pass leaves at zero, unfinished or a zero
+        # draw, is derived from its digest alone.
+        real = targets._standard_normals
+
+        def with_zero_rows(limbs, dim):
+            values = real(limbs, dim)
+            values[::7] = 0.0
+            return values
+
+        monkeypatch.setattr(targets, "_standard_normals", with_zero_rows)
+        payloads = cell_payloads(np.random.default_rng(9).integers(-10**6, 10**6, (50, 10)))
+        want = np.array([reference_direction(p, 10) for p in payloads])
+        np.testing.assert_array_equal(targets._hashed_unit_directions(payloads, 10), want)
+
     def test_repeated_payloads_in_one_batch(self):
         payloads = cell_payloads([[1, 2], [3, 4], [1, 2], [1, 2]])
         got = targets._hashed_unit_directions(payloads, 2)
