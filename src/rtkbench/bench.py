@@ -22,7 +22,6 @@ from .samplers import (
     UlaSpec,
     UldSpec,
     ddpm_run,
-    default_projection_params,
     rtk_run,
 )
 from .schedule import FixedSchedule
@@ -35,6 +34,9 @@ METHODS = ("ddpm", "ula", "uld", "mala", "mala_es")
 # A finite chain has diverged when ||x||^2 exceeds this multiple of the
 # target's second moment E||x||^2.
 DIVERGED_FACTOR = 1e3
+
+# 2^-4 3^-8 7^-2, the constant in the theoretical projected-MALA step size.
+PROJECTION_TAU_CONSTANT = 1.0 / (16.0 * 6561.0 * 49.0)
 
 __all__ = [
     "ExperimentConfig",
@@ -252,9 +254,17 @@ def allocate_nfe(budget: int, method: str, schedule, taylor_order: int = 2) -> l
 
 def _practical_tau(config: ExperimentConfig, L_k: float, m2: float,
                    x0_norm: float, steps: int) -> float:
-    dim = config.mixture.dim
-    _, _, tau = default_projection_params(L_k, dim, m2, x0_norm,
-                                          max(steps, 1), config.eps)
+    """The theoretical projected-MALA step size, scaled and capped.
+
+    tau = C / (L^2 (d + m2^2 + ||x0||^2) log(16 S / eps)) with
+    C = PROJECTION_TAU_CONSTANT and S = max(steps, 1), then
+    min(tau_multiplier * tau, tau_cap / L); the config keeps eps in (0, 1).
+    """
+    if not (L_k > 0):
+        raise ValueError(f"segment curvature must be positive, got {L_k}")
+    scale = ((config.mixture.dim + m2 * m2 + x0_norm * x0_norm)
+             * math.log(16.0 * max(steps, 1) / config.eps))
+    tau = PROJECTION_TAU_CONSTANT / (L_k * L_k * scale)
     return min(config.tau_multiplier * tau, config.tau_cap / L_k)
 
 

@@ -35,9 +35,12 @@ from .samplers import (
 )
 from .schedule import FixedSchedule, eta_for, make_target
 from .targets import (
+    _SPARE_WORDS,
     IsotropicGaussianMixture,
     ScoreOracle,
     _hashed_unit_directions,
+    _pcg64_ahead,
+    _pcg64_states,
     _seed_sequence_state,
 )
 
@@ -234,10 +237,23 @@ def _ziggurat_lanes(seed: int, dim: int) -> set[str]:
     return lanes
 
 
+def _check_pcg64_steps(seeds: list[int], k: int) -> None:
+    """The lockstep PCG64 states 1..k after each PCG64(seed), against
+    numpy's own PCG64.advance."""
+    words = np.array([np.random.SeedSequence(s).generate_state(4, np.uint64) for s in seeds])
+    hi, lo = _pcg64_ahead(*_pcg64_states(words), k)
+    for i, seed in enumerate(seeds):
+        for j in range(1, k + 1):
+            want = np.random.PCG64(seed).advance(j).state["state"]["state"]
+            if (int(hi[j - 1, i]) << 64) | int(lo[j - 1, i]) != want:
+                raise AssertionError(f"PCG64 state after advance({j}) differs from "
+                                     f"numpy's for seed {seed:#x}")
+
+
 def _check_error_field() -> None:
-    # The batched seeding re-implements SeedSequence, PCG64 and numpy's
-    # ziggurat with its tables; a numpy release that changes any of them
-    # must fail here.
+    # The batched seeding re-implements SeedSequence, PCG64's seeding and
+    # stepping, and numpy's ziggurat with its tables; a numpy release that
+    # changes any of them must fail here.
     for n in (1, 2**40 + 3, 2**127 + 5):
         words = np.frombuffer(n.to_bytes(16, "little"), dtype="<u4").reshape(1, 4)
         if not np.array_equal(_seed_sequence_state(words)[0],
@@ -246,12 +262,14 @@ def _check_error_field() -> None:
     # Payloads 654 and 952 hold tail draws; the first 40 hold wedge draws
     # that accept and that reject.
     payloads = [i.to_bytes(8, "little") for i in (*range(40), 654, 952)]
+    seeds = {p: int.from_bytes(hashlib.blake2b(p, digest_size=16).digest(), "little")
+             for p in payloads}
     for dim in (2, 10):
+        _check_pcg64_steps([seeds[p] for p in payloads[-3:]], dim + _SPARE_WORDS)
         lanes = set()
         for batch in (payloads, payloads[:1]):
             for payload, row in zip(batch, _hashed_unit_directions(batch, dim)):
-                digest = hashlib.blake2b(payload, digest_size=16).digest()
-                seed = int.from_bytes(digest, "little")
+                seed = seeds[payload]
                 vec = np.random.Generator(np.random.PCG64(seed)).standard_normal(dim)
                 if not np.array_equal(row, vec / np.linalg.norm(vec)):
                     raise AssertionError(

@@ -26,7 +26,6 @@ __all__ = [
     "UlaSpec",
     "UldSpec",
     "ddpm_run",
-    "default_projection_params",
     "mala_accept_log",
     "mala_run",
     "rtk_run",
@@ -38,9 +37,6 @@ __all__ = [
     "uld_run",
     "uld_step",
 ]
-
-# 2^-4 3^-8 7^-2, the constant in the theoretical projected-MALA step size.
-PROJECTION_TAU_CONSTANT = 1.0 / (16.0 * 6561.0 * 49.0)
 
 # Below this gamma*tau the closed-form position variance cancels
 # catastrophically in float64; switch to its series.
@@ -225,35 +221,19 @@ def mala_accept_log(target, z: Array, z_prop: Array, tau: float, *,
     return neg_energy_diff + (_sqnorm(fwd) - _sqnorm(rev)) / (4.0 * tau)
 
 
-def default_projection_params(L: float, d: int, m2: float, x0_norm: float,
-                              S: int, eps: float) -> tuple[float, float, float]:
-    """Theoretical projected-MALA parameters (R, r, tau).
-
-    R = 63 sqrt((d + m2^2 + ||x0||^2) log(16 S / eps)),
-    tau = C / (L^2 (d + m2^2 + ||x0||^2) log(16 S / eps)) with
-    C = 2^-4 3^-8 7^-2, and r = 3 sqrt(tau d log(8 S / eps)).
-    """
-    if not (L > 0) or d < 1 or m2 < 0 or x0_norm < 0 or S < 1:
-        raise ValueError("invalid projection inputs")
-    if not (0.0 < eps < 1.0):
-        raise ValueError("eps must lie in (0, 1)")
-    scale = (d + m2 * m2 + x0_norm * x0_norm) * math.log(16.0 * S / eps)
-    R = 63.0 * math.sqrt(scale)
-    tau = PROJECTION_TAU_CONSTANT / (L * L * scale)
-    r = 3.0 * math.sqrt(tau * d * math.log(8.0 * S / eps))
-    return R, r, tau
-
-
 def taylor_energy_diff(score_fn, z: Array, z2: Array, u: int = 2,
                        dt: float = 1e-3,
-                       score_at_z: Array | None = None) -> tuple[Array, int]:
+                       score_at_z: Array | None = None,
+                       score_at_z2: Array | None = None) -> tuple[Array, int]:
     """Score-only estimate of f(z2) - f(z), plus its charged score calls.
 
     With h(t) = f(z + t (z2 - z)), the derivative h'(t) = -score(z + t dz) . dz
     is sampled on the grid {0, dt, ..., (u-1) dt}; higher derivatives at 0
     come from the forward-difference pyramid and the estimate is
     sum_{i=1..u} h~(i)(0) / i!.  score_at_z short-circuits the t = 0 query
-    when the caller already holds score(z).
+    when the caller already holds score(z), and score_at_z2 the node at
+    t = j dt = 1, which is z2 (z + dz only up to rounding).  The charge is
+    2^(u-1) either way.
     """
     if u < 1:
         raise ValueError("order must be >= 1")
@@ -266,6 +246,8 @@ def taylor_energy_diff(score_fn, z: Array, z2: Array, u: int = 2,
     for j in range(u):
         if j == 0 and score_at_z is not None:
             s = score_at_z
+        elif j * dt == 1.0 and score_at_z2 is not None:
+            s = score_at_z2
         else:
             s = score_fn(z + (j * dt) * dz)
         level.append(-(s * dz).sum(axis=-1))
@@ -291,8 +273,11 @@ def mala_run(target, spec: MalaSpec, state: ChainState) -> ChainState:
 
     The initial score query costs one NFE unit per chain; each subsequent
     proposal costs spec.step_nfe per chain (1 exact, 2^(u-1) score-only).
-    The exact estimator also carries log p at the current point, taken from
-    the same mixture pass as each score, so a proposal costs one pass.
+    The score-only estimator reuses score(z) and, when a node of its grid
+    is the proposal (dt = 1), the proposal's score, so it evaluates fewer
+    rows than it is charged.  The exact estimator also carries log p at the
+    current point, taken from the same mixture pass as each score, so a
+    proposal costs one pass.
     """
     if spec.steps == 0:
         return state
@@ -316,7 +301,8 @@ def mala_run(target, spec: MalaSpec, state: ChainState) -> ChainState:
             score_prop = target.score(z_prop)
             f_diff, _ = taylor_energy_diff(target.score, z, z_prop,
                                            u=spec.taylor_order, dt=dt,
-                                           score_at_z=score_z)
+                                           score_at_z=score_z,
+                                           score_at_z2=score_prop)
             r = -(f_diff + target.quadratic_diff(z, z_prop))
         else:
             score_prop, logp_prop = target.score(z_prop, with_log_density=True)

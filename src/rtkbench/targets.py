@@ -205,7 +205,7 @@ def sample_base(mix: IsotropicGaussianMixture, n: int, rng: np.random.Generator)
 _SS_INIT_A, _SS_MULT_A = 0x43B0D7E5, 0x931E8875
 _SS_INIT_B, _SS_MULT_B = 0x8B51F9DD, 0x58F38DED
 _SS_MIX_L, _SS_MIX_R = 0xCA01F9DD, 0x4973F715
-_U32, _U64, _U128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+_U32, _U64 = (1 << 32) - 1, (1 << 64) - 1
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _PCG_MULT_LIMBS = tuple(np.uint64(v) for v in (_PCG_MULT >> 64, _PCG_MULT & _U64))
 # numpy's ziggurat tables; the PCG64 words a row may read beyond one per
@@ -284,23 +284,6 @@ def _add128(ah, al, bh, bl):
     return hi, lo
 
 
-@functools.lru_cache(maxsize=64)
-def _pcg64_jumps(k: int) -> tuple[Array, ...]:
-    """(hi, lo) limbs of M^j, then of sum_(i<j) M^i, as (k, 1) columns for
-    j = 1..k, M the LCG multiplier.
-
-    j LCG steps take state s to M^j s + (sum_(i<j) M^i) inc mod 2^128.
-    """
-    power, total, powers, totals = 1, 0, [], []
-    for _ in range(k):
-        total = (total + power) & _U128
-        power = (power * _PCG_MULT) & _U128
-        powers.append(power)
-        totals.append(total)
-    table = np.array([(v >> 64, v & _U64) for v in powers + totals], dtype=np.uint64)
-    return table[:k, :1], table[:k, 1:], table[k:, :1], table[k:, 1:]
-
-
 def _pcg64_states(seeds: Array) -> tuple[Array, Array, Array, Array]:
     """(state hi, state lo, inc hi, inc lo) of PCG64 seeded with each row of
     SeedSequence words seeds (m, 4) uint64, as uint64 limbs."""
@@ -319,12 +302,15 @@ def _pcg64_ahead(hi: Array, lo: Array, inc_hi: Array, inc_lo: Array,
     """(hi, lo) limbs, each (k, m), of the states 1..k LCG steps after each
     PCG64 state (hi, lo) with increment (inc_hi, inc_lo).
 
-    Step j takes s to M^j s + (sum_(i<j) M^i) inc, one jump-ahead
-    multiply-add.  States run along the last axis, so each numpy call
-    sweeps m contiguous values.
+    Each step is s <- M s + inc mod 2^128.  States run along the last axis,
+    so each numpy call sweeps m contiguous values.
     """
-    ah, al, bh, bl = _pcg64_jumps(k)
-    return _add128(*_mul128(ah, al, hi, lo), *_mul128(bh, bl, inc_hi, inc_lo))
+    out_hi = np.empty((k,) + np.shape(hi), dtype=np.uint64)
+    out_lo = np.empty_like(out_hi)
+    for j in range(k):
+        hi, lo = _add128(*_mul128(hi, lo, *_PCG_MULT_LIMBS), inc_hi, inc_lo)
+        out_hi[j], out_lo[j] = hi, lo
+    return out_hi, out_lo
 
 
 def _xsl_rr(hi: Array, lo: Array) -> Array:

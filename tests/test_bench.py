@@ -17,8 +17,10 @@ from rtkbench import bench, samplers, targets
 from rtkbench.bench import (
     DIVERGED_FACTOR,
     METHODS,
+    PROJECTION_TAU_CONSTANT,
     ExperimentConfig,
     RunReport,
+    _practical_tau,
     allocate_nfe,
     build_schedule,
     build_specs,
@@ -39,7 +41,6 @@ from rtkbench.samplers import (
     UlaSpec,
     UldSpec,
     ddpm_run,
-    default_projection_params,
     rtk_run,
 )
 from rtkbench.schedule import FixedSchedule
@@ -197,8 +198,24 @@ class TestBuildSpecs:
         sched = build_schedule(cfg)
         spec = build_specs(cfg, sched, "mala", 24)[0]
         m2 = math.sqrt(math.exp(-2 * 1.2) * 2 + (1 - math.exp(-2 * 1.2)) * 2)
-        _, _, tau = default_projection_params(sched.segments()[0].L, 2, m2, m2, 11, cfg.eps)
+        L = sched.segments()[0].L
+        tau = PROJECTION_TAU_CONSTANT / (L * L * (2 + 2 * m2 * m2) * math.log(16 * 11 / cfg.eps))
         assert spec.tau == pytest.approx(tau, rel=1e-12)
+
+
+class TestPracticalTau:
+    def test_frozen_example(self):
+        cfg = small_config(mixture=IsotropicGaussianMixture.standard_normal(1),
+                           eps=0.1, tau_multiplier=1.0, tau_cap=1e9)
+        tau = _practical_tau(cfg, 1.0, 1.0, 0.0, 100)
+        assert tau == pytest.approx(1.9440789576004154e-7 / (2 * math.log(16_000)), rel=1e-12)
+        assert _practical_tau(replace(cfg, tau_cap=1e-9), 1.0, 1.0, 0.0, 100) == 1e-9
+
+    def test_validation(self):
+        with pytest.raises(ValueError, match="schedule.eps"):
+            small_config(eps=1.0)
+        with pytest.raises(ValueError, match="curvature must be positive"):
+            _practical_tau(small_config(), 0.0, 1.0, 0.0, 100)
 
 
 class TestConfigText:
@@ -525,6 +542,20 @@ class TestNfeAudit:
     def test_score_rows_match_charged_nfe(self, method):
         for budget in small_config().nfe_budgets:
             self.audit(method, budget)
+
+    def test_score_only_mala_scores_each_proposal_once_at_unit_spacing(self):
+        # score_error >= 1 resolves taylor_dt to 1, so the estimator's last
+        # node is the proposal: one score row per proposal, two charged.
+        mix = IsotropicGaussianMixture.ring(4, 2, variance=0.05)
+        config = small_config(mixture=mix, score_error=1.5, error_cell=1e6)
+        for budget in config.nfe_budgets:
+            oracle = CountingOracle(mix, score_error=1.5, error_cell=1e6)
+            steps = [s.steps for s in build_specs(config, build_schedule(config),
+                                                  "mala_es", budget)]
+            assert min(steps) > 0
+            charged = self.run_unit(config, "mala_es", budget, oracle).nfe
+            assert oracle.rows[0] == config.n_samples * sum(1 + k for k in steps)
+            assert charged == config.n_samples * sum(1 + 2 * k for k in steps)
 
     def test_an_uncharged_score_row_fails_the_audit(self, monkeypatch):
         real = samplers.ula_step

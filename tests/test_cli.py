@@ -326,6 +326,9 @@ PLANTED_DEFECTS = {
                     "error-field", "SeedSequence(1) state differs from numpy's"),
     "ziggurat-table": (targets, "_ZIG_KI", _zero_ki_of_first_draw, "error-field",
                        "error-field direction for payload 0000000000000000 (d=2)"),
+    "pcg64-multiplier": (targets, "_PCG_MULT_LIMBS",
+                         lambda real: (real[0], real[1] ^ np.uint64(1 << 40)),
+                         "error-field", "PCG64 state after advance(1) differs"),
 }
 
 

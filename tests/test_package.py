@@ -11,7 +11,7 @@ PUBLIC = [
     "IsotropicGaussianMixture", "MalaSpec", "MetricsRow", "RtkTarget", "RunReport",
     "ScoreOracle", "Segment", "SegmentTrace", "SortedReference", "UlaSpec", "UldSpec",
     "allocate_nfe", "config_from_text", "config_to_text", "ddpm_run",
-    "default_projection_params", "emit_csv", "emit_plot", "energy_hessian", "eta_for",
+    "emit_csv", "emit_plot", "energy_hessian", "eta_for",
     "forward_marginal", "load_config", "log_density", "make_target", "mala_accept_log",
     "mala_init", "mala_run", "marginal_accuracy", "mode_mass", "outer_steps",
     "paper_preset", "rtk_run", "run_experiment", "sample_base",

@@ -12,7 +12,6 @@ from rtkbench.samplers import (
     UlaSpec,
     UldSpec,
     ddpm_run,
-    default_projection_params,
     mala_accept_log,
     mala_run,
     rtk_run,
@@ -208,30 +207,6 @@ class TestMalaAcceptLog:
         np.testing.assert_allclose(lhs, rhs, rtol=1e-10, atol=1e-12)
 
 
-class TestDefaultProjectionParams:
-    def test_frozen_example(self):
-        R, r, tau = default_projection_params(1.0, 1, 1.0, 0.0, 100, 0.1)
-        assert R == pytest.approx(63.0 * math.sqrt(2 * math.log(16_000)), rel=1e-14)
-        assert R == pytest.approx(277.20492542828237, rel=1e-12)
-        assert tau == pytest.approx(1.9440789576004154e-7 / (2 * math.log(16_000)), rel=1e-12)
-        assert r == pytest.approx(3 * math.sqrt(tau * math.log(8_00_0)), rel=1e-12)
-
-    def test_r_over_sqrt_tau_independent_of_L(self):
-        vals = []
-        for L in [0.5, 3.0, 40.0]:
-            _, r, tau = default_projection_params(L, 4, 1.2, 0.7, 50, 0.2)
-            vals.append(r / math.sqrt(tau))
-        assert vals[0] == pytest.approx(vals[1], rel=1e-12)
-        assert vals[0] == pytest.approx(vals[2], rel=1e-12)
-        assert vals[0] == pytest.approx(3 * math.sqrt(4 * math.log(8 * 50 / 0.2)), rel=1e-12)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            default_projection_params(1.0, 1, 1.0, 0.0, 100, 1.0)
-        with pytest.raises(ValueError):
-            default_projection_params(0.0, 1, 1.0, 0.0, 100, 0.1)
-
-
 class TestTaylorEnergyDiff:
     def test_affine_energy_first_order_exact(self):
         s0 = np.array([0.7, -1.2])
@@ -294,6 +269,32 @@ class TestTaylorEnergyDiff:
         cached, _ = taylor_energy_diff(target.score, z, z2, u=2, dt=1e-3,
                                        score_at_z=target.score(z))
         np.testing.assert_array_equal(fresh, cached)
+
+    def test_proposal_score_replaces_the_unit_node(self):
+        # Dyadic points, so the node z + 1.0 (z2 - z) is z2 exactly.
+        target = mixture_target(seed=2)
+        rng = np.random.default_rng(4)
+        z = np.round(rng.standard_normal((6, 2)) * 64) / 64
+        z2 = np.round(rng.standard_normal((6, 2)) * 64) / 64
+        np.testing.assert_array_equal(z + 1.0 * (z2 - z), z2)
+        calls = []
+
+        def counting(x):
+            calls.append(len(x))
+            return target.score(x)
+
+        fresh, _ = taylor_energy_diff(counting, z, z2, u=2, dt=1.0)
+        assert calls == [6, 6]
+        calls.clear()
+        reused, cost = taylor_energy_diff(counting, z, z2, u=2, dt=1.0,
+                                          score_at_z=target.score(z),
+                                          score_at_z2=target.score(z2))
+        assert calls == [] and cost == 2
+        np.testing.assert_array_equal(reused, fresh)
+        # Off the unit node the proposal's score is not used.
+        taylor_energy_diff(counting, z, z2, u=2, dt=0.5, score_at_z=target.score(z),
+                           score_at_z2=target.score(z2))
+        assert calls == [6]
 
 
 class TestMalaRun:

@@ -586,6 +586,34 @@ class TestHashedDirections:
             np.random.SeedSequence(n).generate_state(4, np.uint64))
 
 
+class TestPcg64Stepping:
+    @pytest.mark.parametrize("n", [1, 2000])
+    @pytest.mark.parametrize("dim", [2, 10, 32])
+    def test_states_match_numpy_advance(self, dim, n):
+        """State j of each row is PCG64(seed)'s state after advance(j), for
+        every word a row of dimension dim may read."""
+        rng = np.random.default_rng(dim * n)
+        seeds = [int.from_bytes(rng.bytes(16), "little") for _ in range(n)]
+        words = np.array([np.random.SeedSequence(s).generate_state(4, np.uint64) for s in seeds])
+        hi, lo, inc_hi, inc_lo = targets._pcg64_states(words)
+        k = dim + targets._SPARE_WORDS
+        ahead_hi, ahead_lo = targets._pcg64_ahead(hi, lo, inc_hi, inc_lo, k)
+        assert ahead_hi.shape == ahead_lo.shape == (k, n)
+        got = [[(int(h) << 64) | int(l) for h, l in zip(ahead_hi[:, i], ahead_lo[:, i])]
+               for i in range(n)]
+        want = []
+        for i, seed in enumerate(seeds):
+            bits = np.random.PCG64(seed)
+            start = bits.state
+            assert start["state"]["inc"] == (int(inc_hi[i]) << 64) | int(inc_lo[i])
+            states = []
+            for j in range(1, k + 1):
+                bits.state = start
+                states.append(bits.advance(j).state["state"]["state"])
+            want.append(states)
+        assert got == want
+
+
 class TestFarErrorCells:
     def oracle(self, **kw):
         return ScoreOracle(IsotropicGaussianMixture.standard_normal(3), error_seed=2,
