@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import samplers
 from .metrics import MetricsRow, SortedReference, marginal_accuracy, mode_mass, second_moment
 from .samplers import (
     MalaSpec,
@@ -315,6 +316,7 @@ _worker_run = None  # a pool process's (_unit_context, cancel event), set by _st
 def _start_worker(config: ExperimentConfig, schedule, cancel) -> None:
     global _worker_run
     _worker_run = _unit_context(config, schedule), cancel
+    samplers._AHEAD_MIN_SIZE = math.inf  # the pool fills the cores; a helper would contend
 
 
 def _pool_unit(unit: tuple[int, str, int, int]):

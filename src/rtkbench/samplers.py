@@ -9,6 +9,8 @@ one unit per score query, zero for analytic energy differences, and
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -41,6 +43,51 @@ __all__ = [
 # Below this gamma*tau the closed-form position variance cancels
 # catastrophically in float64; switch to its series.
 _ULD_SERIES_CUTOFF = 1e-3
+
+# A loop whose largest draw is smaller draws inline: below this a handoff to
+# the helper (~40 us) costs more than it saves.  Pool workers set it to inf.
+_AHEAD_MIN_SIZE = 4096
+
+
+class _DrawAhead:
+    """state.rng for one inner loop: its planned draws, made ahead in order.
+
+    plan lists them as (method, size).  One helper thread, the only one to
+    touch the Generator, makes them at most two ahead while numpy fills them
+    without the GIL.  A request other than the next planned draw raises.
+    """
+
+    def __init__(self, state: "ChainState", plan: list):
+        self._state, self._rng, self._plan, self._ahead = state, state.rng, iter(plan), []
+        self._pool = None
+        if max((np.prod(size) for _, size in set(plan)), default=0) >= _AHEAD_MIN_SIZE:
+            from concurrent.futures import ThreadPoolExecutor  # slow to import
+            self._pool = ThreadPoolExecutor(1)
+
+    def __enter__(self):
+        self._submit(2)
+        self._state.rng = self
+        return self
+
+    def __exit__(self, *exc_info):
+        self._state.rng = self._rng
+        if self._pool:  # cancels the draws not begun and joins the helper
+            self._pool.shutdown(cancel_futures=True)
+
+    def _submit(self, count: int) -> None:
+        for kind, size in itertools.islice(self._plan, count if self._pool else 0):
+            self._ahead.append(((kind, size), self._pool.submit(getattr(self._rng, kind), size)))
+
+    def _take(self, kind: str, size):
+        planned, ahead = self._ahead.pop(0) if self._ahead else (next(self._plan, None), None)
+        self._submit(1)
+        if planned != (kind, size):
+            raise RuntimeError(f"unplanned draw {kind}({size!r}); the plan has "
+                               f"{planned or 'nothing'} next")
+        return getattr(self._rng, kind)(size) if ahead is None else ahead.result()
+
+    standard_normal = functools.partialmethod(_take, "standard_normal")
+    random = functools.partialmethod(_take, "random")
 
 
 @dataclass(frozen=True)
@@ -171,27 +218,29 @@ def ddpm_run(oracle: ScoreOracle, horizon: float, steps: int, n_chains: int,
     noise = math.sqrt(math.expm1(2.0 * eta))
     state = ChainState(rng.standard_normal((n_chains, dim)), rng)
     x = state.positions
-    for k in range(steps):
-        t = horizon - k * eta
-        s = oracle.score(t, x)
-        x = grow * x + drift * s + noise * state.rng.standard_normal(x.shape)
-        state.nfe += n_chains
-    state.positions = x
+    with _DrawAhead(state, [("standard_normal", x.shape)] * steps):
+        for k in range(steps):
+            s = oracle.score(horizon - k * eta, x)
+            x *= grow
+            x += drift * s
+            x += noise * state.rng.standard_normal(x.shape)
+            state.nfe += n_chains
     return state
 
 
 def ula_step(target, state: ChainState, tau: float) -> ChainState:
     """One unadjusted step z <- z - tau grad g(z) + sqrt(2 tau) xi; NFE += n_chains."""
     z = state.positions
-    g = target.grad_energy(z)
-    state.positions = z - tau * g + math.sqrt(2.0 * tau) * state.rng.standard_normal(z.shape)
+    noise = math.sqrt(2.0 * tau) * state.rng.standard_normal(z.shape)
+    state.positions = np.add(z - tau * target.grad_energy(z), noise, out=noise)
     state.nfe += state.n_chains
     return state
 
 
 def ula_run(target, spec: UlaSpec, state: ChainState) -> ChainState:
-    for _ in range(spec.steps):
-        ula_step(target, state, spec.tau)
+    with _DrawAhead(state, [("standard_normal", state.positions.shape)] * spec.steps):
+        for _ in range(spec.steps):
+            ula_step(target, state, spec.tau)
     return state
 
 
@@ -281,8 +330,7 @@ def mala_run(target, spec: MalaSpec, state: ChainState) -> ChainState:
     """
     if spec.steps == 0:
         return state
-    z = state.positions
-    rng = state.rng
+    z = state.positions.copy()  # the loop's own; accepted rows are copied in
     tau = spec.tau
     taylor = spec.estimator == "taylor"
     dt = _resolve_taylor_dt(spec, target.oracle) if taylor else 0.0
@@ -293,33 +341,35 @@ def mala_run(target, spec: MalaSpec, state: ChainState) -> ChainState:
     grad_z = target.grad_energy(z, score_value=score_z)
     state.nfe += state.n_chains
     root = math.sqrt(2.0 * tau)
-    for _ in range(spec.steps):
-        noise = rng.standard_normal(z.shape)
-        z_prop = z - tau * grad_z + root * noise
-        log_u = np.log(rng.random(state.n_chains))
-        if taylor:
-            score_prop = target.score(z_prop)
-            f_diff, _ = taylor_energy_diff(target.score, z, z_prop,
-                                           u=spec.taylor_order, dt=dt,
-                                           score_at_z=score_z,
-                                           score_at_z2=score_prop)
-            r = -(f_diff + target.quadratic_diff(z, z_prop))
-        else:
-            score_prop, logp_prop = target.score(z_prop, with_log_density=True)
-            r = -target.energy_diff(z, z_prop, log_p=(logp_z, logp_prop))
-        grad_prop = target.grad_energy(z_prop, score_value=score_prop)
-        log_a = mala_accept_log(target, z, z_prop, tau, grad_z=grad_z,
-                                grad_prop=grad_prop, neg_energy_diff=r)
-        accept = log_u < log_a
-        state.propose_count += state.n_chains
-        state.accept_count += int(accept.sum())
-        state.nfe += spec.step_nfe * state.n_chains
-        keep = accept[:, None]
-        z = np.where(keep, z_prop, z)
-        score_z = np.where(keep, score_prop, score_z)
-        grad_z = np.where(keep, grad_prop, grad_z)
-        if not taylor:
-            logp_z = np.where(accept, logp_prop, logp_z)
+    plan = [("standard_normal", z.shape), ("random", state.n_chains)] * spec.steps
+    with _DrawAhead(state, plan) as rng:
+        for _ in range(spec.steps):
+            z_prop = z - tau * grad_z
+            z_prop += root * rng.standard_normal(z.shape)
+            log_u = np.log(rng.random(state.n_chains))
+            if taylor:
+                score_prop = target.score(z_prop)
+                f_diff, _ = taylor_energy_diff(target.score, z, z_prop,
+                                               u=spec.taylor_order, dt=dt,
+                                               score_at_z=score_z,
+                                               score_at_z2=score_prop)
+                r = -(f_diff + target.quadratic_diff(z, z_prop))
+            else:
+                score_prop, logp_prop = target.score(z_prop, with_log_density=True)
+                r = -target.energy_diff(z, z_prop, log_p=(logp_z, logp_prop))
+            grad_prop = target.grad_energy(z_prop, score_value=score_prop)
+            log_a = mala_accept_log(target, z, z_prop, tau, grad_z=grad_z,
+                                    grad_prop=grad_prop, neg_energy_diff=r)
+            accept = log_u < log_a
+            state.propose_count += state.n_chains
+            state.accept_count += int(accept.sum())
+            state.nfe += spec.step_nfe * state.n_chains
+            keep = accept[:, None]
+            np.copyto(z, z_prop, where=keep)
+            np.copyto(score_z, score_prop, where=keep)
+            np.copyto(grad_z, grad_prop, where=keep)
+            if not taylor:
+                np.copyto(logp_z, logp_prop, where=accept)
     state.positions = z
     return state
 
@@ -363,8 +413,9 @@ def uld_noise_pair(gamma: float, tau: float, rng: np.random.Generator,
     b = cov / a if a > 0 else 0.0
     c = math.sqrt(max(var_v - b * b, 0.0))
     e1 = rng.standard_normal(shape)
-    e2 = rng.standard_normal(shape)
-    return a * e1, b * e1 + c * e2, clamped
+    xi_v = b * e1
+    xi_v += c * rng.standard_normal(shape)
+    return np.multiply(e1, a, out=e1), xi_v, clamped
 
 
 def uld_step(target, state: ChainState, tau: float, gamma: float) -> ChainState:
@@ -381,16 +432,18 @@ def uld_step(target, state: ChainState, tau: float, gamma: float) -> ChainState:
     x = gamma * tau
     c1 = -math.expm1(-x) / gamma
     xi_z, xi_v, clamped = uld_noise_pair(gamma, tau, state.rng, z.shape)
-    state.positions = z + c1 * v - ((tau - c1) / gamma) * grad + xi_z
-    state.velocity = math.exp(-x) * v - c1 * grad + xi_v
+    xi_z += z + c1 * v - ((tau - c1) / gamma) * grad  # IEEE addition commutes
+    xi_v += math.exp(-x) * v - c1 * grad
+    state.positions, state.velocity = xi_z, xi_v
     state.nfe += state.n_chains
     state.noise_clamps += int(clamped)
     return state
 
 
 def uld_run(target, spec: UldSpec, state: ChainState) -> ChainState:
-    for _ in range(spec.steps):
-        uld_step(target, state, spec.tau, spec.gamma)
+    with _DrawAhead(state, [("standard_normal", state.positions.shape)] * (2 * spec.steps)):
+        for _ in range(spec.steps):
+            uld_step(target, state, spec.tau, spec.gamma)
     return state
 
 

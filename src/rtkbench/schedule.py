@@ -144,6 +144,7 @@ class RtkTarget:
         self.decay = math.exp(-self.eta)            # e^(-eta)
         self.denom = -math.expm1(-2.0 * self.eta)   # 1 - e^(-2 eta)
         self.quad_weight = (self.decay * self.decay) / self.denom
+        self._decay_x_prev = self.decay * self.x_prev
 
     def score(self, z: Array, with_log_density: bool = False):
         """Oracle score at the base time (one score call per row).
@@ -157,7 +158,7 @@ class RtkTarget:
         """grad g(z) = -score(t, z) + (e^(-2 eta) z - e^(-eta) x_prev) / (1 - e^(-2 eta))."""
         z = np.asarray(z, dtype=np.float64)
         s = self.score(z) if score_value is None else score_value
-        return -s + (self.decay * self.decay * z - self.decay * self.x_prev) / self.denom
+        return -s + (self.decay * self.decay * z - self._decay_x_prev) / self.denom
 
     def quadratic_diff(self, z: Array, z2: Array) -> Array:
         """Exact quadratic part of g(z2) - g(z)."""

@@ -524,8 +524,11 @@ class ScoreOracle:
         return self.error_seed.to_bytes(8, "little", signed=True) + tq.to_bytes(8, "little", signed=True)
 
     def _score_perturbation(self, t, x: Array) -> Array:
-        cells = self._cells(x)
         prefix = self._key_prefix(t)
+        # x / error_cell within [-1/2, 1/2] rounds half to even to cell 0; NaN fails.
+        if x.size and np.abs(x).max() < self.error_cell / 2:
+            return self.score_error * _cell_direction(prefix + bytes(8 * self.dim), self.dim)
+        cells = self._cells(x)
         if cells.shape[0] > 0 and (cells == cells[0]).all():  # NaN rows never match
             payload = self._cell_keys(cells[:1], prefix)[0]
             return self.score_error * _cell_direction(payload, self.dim)
@@ -542,9 +545,9 @@ class ScoreOracle:
         if self.score_error == 0.0:
             return exact
         noise = self._score_perturbation(t, np.asarray(x, dtype=np.float64))
-        if with_log_density:
-            return exact[0] + noise, exact[1]
-        return exact + noise
+        out = exact[0] if with_log_density else exact
+        out += noise  # the pass's fresh array
+        return exact
 
     def energy_difference(self, t, z, z2, log_p=None):
         """f_t(z2) - f_t(z) with f_t = -log p_t, within energy_error.

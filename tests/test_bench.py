@@ -428,6 +428,15 @@ class TestRunExperiment:
             for key in report.samples:
                 assert np.array_equal(report.samples[key], pooled.samples[key]), (workers, key)
 
+    def test_pool_workers_draw_on_their_own_thread(self, monkeypatch):
+        # The pool keeps every worker's core busy, so a sampler's helper
+        # thread would only contend with the other workers.
+        monkeypatch.setattr(bench, "_worker_run", None)
+        monkeypatch.setattr(samplers, "_AHEAD_MIN_SIZE", samplers._AHEAD_MIN_SIZE)
+        config = small_config()
+        bench._start_worker(config, build_schedule(config), None)
+        assert samplers._AHEAD_MIN_SIZE == math.inf
+
     @pytest.mark.parametrize("start, message", [
         (_start_failing_ddpm_worker, "^ddpm@24: RuntimeError: planted at 24 steps$"),
         (_start_dying_ddpm_worker, "^ddpm@12: BrokenProcessPool: "),

@@ -2,11 +2,13 @@
 
 import subprocess
 import sys
+import threading
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+import conftest
 import rtkbench
 import test_bench
 import test_package
@@ -39,3 +41,18 @@ def test_a_runtime_warning_fails_the_suite(tmp_path):
         capture_output=True, text=True, timeout=120)
     assert run.returncode == 1, run.stdout + run.stderr
     assert "RuntimeWarning: divide by zero" in run.stdout
+
+
+def test_a_leaked_thread_fails_the_thread_guard():
+    before = set(threading.enumerate())
+    release = threading.Event()
+    leaked = threading.Thread(target=release.wait, name="planted-leak")
+    leaked.start()
+    try:
+        with pytest.raises(pytest.fail.Exception, match="1 thread.*planted-leak"):
+            conftest.fail_on_leaked_threads(before, grace=0.05)
+    finally:
+        release.set()
+        leaked.join(5.0)
+    assert not leaked.is_alive()
+    conftest.fail_on_leaked_threads(before, grace=0.0)

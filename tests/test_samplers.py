@@ -1,11 +1,17 @@
 """Tests for the inner samplers and their NFE accounting."""
 
+import functools
+import itertools
 import math
+import re
+import sys
+import threading
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from rtkbench import samplers
 from rtkbench.samplers import (
     ChainState,
     MalaSpec,
@@ -23,7 +29,7 @@ from rtkbench.samplers import (
     uld_run,
     uld_step,
 )
-from rtkbench.schedule import FixedSchedule, mala_init, make_target
+from rtkbench.schedule import FixedSchedule, RtkTarget, mala_init, make_target
 from rtkbench.targets import IsotropicGaussianMixture, ScoreOracle
 
 
@@ -566,3 +572,241 @@ class TestRtkRun:
         b, _ = rtk_run(oracle, sched, spec, 64, np.random.default_rng(30))
         np.testing.assert_array_equal(a.positions, b.positions)
         assert a.nfe == b.nfe
+
+
+# At d = 2 a draw for this many chains has 5,000 elements, enough for the
+# loops to hand their draws to a helper thread.
+AHEAD_CHAINS = 2500
+assert 2 * AHEAD_CHAINS >= samplers._AHEAD_MIN_SIZE
+
+LOOPS = {
+    "ula": (ula_run, UlaSpec(steps=6, tau=0.05)),
+    "uld": (uld_run, UldSpec(steps=6, tau=0.1, gamma=2.0)),
+    "mala": (mala_run, MalaSpec(steps=6, tau=0.05)),
+    "mala_es": (mala_run, MalaSpec(steps=6, tau=0.05, estimator="taylor")),
+}
+
+
+class RecordingRng:
+    """A Generator that notes the thread making each draw."""
+
+    def __init__(self, seed):
+        self.gen = np.random.default_rng(seed)
+        self.threads = []
+
+    def standard_normal(self, size=None):
+        self.threads.append(threading.get_ident())
+        return self.gen.standard_normal(size)
+
+    def random(self, size=None):
+        self.threads.append(threading.get_ident())
+        return self.gen.random(size)
+
+
+def run_loop(name, rng):
+    """Six steps of one inner loop (or DDPM) over AHEAD_CHAINS chains at d = 2."""
+    oracle = ScoreOracle(mixture_target().oracle.base, score_error=0.5, error_seed=3,
+                         error_cell=1e6)
+    if name == "ddpm":
+        return ddpm_run(oracle, 1.5, 6, AHEAD_CHAINS, rng)
+    target = RtkTarget(oracle, 0.5, 0.5, rng.standard_normal((AHEAD_CHAINS, 2)))
+    state = ChainState(rng.standard_normal((AHEAD_CHAINS, 2)), rng,
+                       velocity=rng.standard_normal((AHEAD_CHAINS, 2)))
+    run, spec = LOOPS[name]
+    return run(target, spec, state)
+
+
+def helper_threads(rng):
+    return set(rng.threads) - {threading.get_ident()}
+
+
+def assert_same_run(a, b):
+    np.testing.assert_array_equal(a.positions, b.positions)
+    np.testing.assert_array_equal(a.velocity, b.velocity)
+    assert (a.nfe, a.accept_count, a.propose_count) == (b.nfe, b.accept_count, b.propose_count)
+    assert a.rng.gen.bit_generator.state == b.rng.gen.bit_generator.state
+
+
+def swap_pairs(plan):
+    """Each step's two planned draws in the other order."""
+    return [plan[i ^ 1] for i in range(len(plan))]
+
+
+class SwappedPlan(samplers._DrawAhead):
+    def __init__(self, state, plan):
+        super().__init__(state, swap_pairs(plan))
+
+
+class SwappedByKind(SwappedPlan):
+    """A faulty stand-in: the helper draws each uniform before its step's
+    normal, and requests are served by kind, so no request is refused."""
+
+    def _take(self, kind, size):
+        i = next(i for i, (planned, _) in enumerate(self._ahead) if planned == (kind, size))
+        _, ahead = self._ahead.pop(i)
+        self._submit(1)
+        return ahead.result()
+
+    standard_normal = functools.partialmethod(_take, "standard_normal")
+    random = functools.partialmethod(_take, "random")
+
+
+class TestDrawAhead:
+    def inline_run(self, name, monkeypatch):
+        with monkeypatch.context() as m:
+            m.setattr(samplers, "_AHEAD_MIN_SIZE", math.inf)
+            rng = RecordingRng(40)
+            state = run_loop(name, rng)
+        assert not helper_threads(rng)
+        return state
+
+    @pytest.mark.parametrize("name", ["ddpm", *LOOPS])
+    def test_helper_run_equals_the_inline_run(self, name, monkeypatch):
+        rng = RecordingRng(40)
+        ahead = run_loop(name, rng)
+        assert len(helper_threads(rng)) == 1  # every loop draw made on one helper thread
+        assert ahead.rng is rng
+        assert_same_run(ahead, self.inline_run(name, monkeypatch))
+
+    def test_identity_holds_with_a_short_switch_interval(self, monkeypatch):
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            ahead = run_loop("mala", RecordingRng(40))
+        finally:
+            sys.setswitchinterval(interval)
+        assert_same_run(ahead, self.inline_run("mala", monkeypatch))
+
+    def test_control_a_swapped_plan_fails_the_identity_check(self, monkeypatch):
+        inline = self.inline_run("mala", monkeypatch)
+        with monkeypatch.context() as m:
+            m.setattr(samplers, "_DrawAhead", SwappedPlan)
+            with pytest.raises(RuntimeError, match="unplanned draw standard_normal"):
+                run_loop("mala", RecordingRng(40))
+            m.setattr(samplers, "_DrawAhead", SwappedByKind)
+            swapped = run_loop("mala", RecordingRng(40))
+        with pytest.raises(AssertionError):
+            assert_same_run(swapped, inline)
+
+    @pytest.mark.parametrize("chains", [AHEAD_CHAINS, 10], ids=["helper", "inline"])
+    def test_an_unplanned_draw_raises(self, chains):
+        rng = np.random.default_rng(0)
+        state = ChainState(np.zeros((chains, 2)), rng)
+        with samplers._DrawAhead(state, [("standard_normal", (chains, 2)), ("random", chains)]):
+            assert state.rng.standard_normal((chains, 2)).shape == (chains, 2)
+            want = f"unplanned draw standard_normal({(chains, 2)}); the plan has {('random', chains)}"
+            with pytest.raises(RuntimeError, match=re.escape(want)):
+                state.rng.standard_normal((chains, 2))
+            want = f"unplanned draw random({chains}); the plan has nothing next"
+            with pytest.raises(RuntimeError, match=re.escape(want)):
+                state.rng.random(chains)
+        assert state.rng is rng
+
+    @pytest.mark.parametrize("name", ["ddpm", "ula", "uld", "mala"])
+    def test_an_oracle_error_mid_loop_leaves_no_thread(self, name, monkeypatch):
+        baseline = threading.active_count()
+        real, calls = ScoreOracle.score, itertools.count()
+
+        def failing(self, t, x, with_log_density=False):
+            if next(calls) == 3:
+                raise FloatingPointError("planted oracle fault")
+            return real(self, t, x, with_log_density)
+
+        monkeypatch.setattr(ScoreOracle, "score", failing)
+        rng = RecordingRng(41)
+        with pytest.raises(FloatingPointError, match="planted oracle fault"):
+            run_loop(name, rng)
+        assert helper_threads(rng)
+        assert threading.active_count() == baseline
+
+    def test_a_helper_error_surfaces_in_the_caller(self):
+        class FailingRng(RecordingRng):
+            def standard_normal(self, size=None):
+                super().standard_normal(size)
+                raise ValueError("planted draw fault")
+
+        rng = FailingRng(42)
+        state = ChainState(np.zeros((AHEAD_CHAINS, 2)), rng)
+        baseline = threading.active_count()
+        with pytest.raises(ValueError, match="planted draw fault"):
+            ula_run(ZeroGradTarget(), UlaSpec(steps=3, tau=0.1), state)
+        assert helper_threads(rng) and threading.get_ident() not in rng.threads
+        assert state.rng is rng
+        assert threading.active_count() == baseline
+
+
+class TestUpdatesMatchTheirFormulas:
+    """The loops' in-place updates are bit-equal to the formulas they implement."""
+
+    def setup_target(self, seed):
+        rng = np.random.default_rng(seed)
+        oracle = ScoreOracle(mixture_target().oracle.base, score_error=0.5, error_seed=3,
+                             error_cell=1e6)
+        target = RtkTarget(oracle, 0.5, 0.5, rng.standard_normal((AHEAD_CHAINS, 2)))
+        return target, rng.standard_normal((AHEAD_CHAINS, 2)), rng.standard_normal((AHEAD_CHAINS, 2))
+
+    def test_ddpm(self):
+        oracle = ScoreOracle(mixture_target().oracle.base, score_error=0.5, error_cell=1e6)
+        state = ddpm_run(oracle, 1.5, 6, AHEAD_CHAINS, np.random.default_rng(51))
+        rng, eta = np.random.default_rng(51), 0.25
+        x = rng.standard_normal((AHEAD_CHAINS, 2))
+        for k in range(6):
+            x = (math.exp(eta) * x + 2.0 * math.expm1(eta) * oracle.score(1.5 - k * eta, x)
+                 + math.sqrt(math.expm1(2.0 * eta)) * rng.standard_normal(x.shape))
+        np.testing.assert_array_equal(state.positions, x)
+
+    def test_grad_energy_and_ula(self):
+        target, z, _ = self.setup_target(52)
+        s = target.score(z)
+        want = -s + (target.decay * target.decay * z - target.decay * target.x_prev) / target.denom
+        np.testing.assert_array_equal(target.grad_energy(z), want)
+        tau = 0.05
+        state = ula_run(target, UlaSpec(steps=6, tau=tau), ChainState(z, np.random.default_rng(53)))
+        rng = np.random.default_rng(53)
+        for _ in range(6):
+            z = z - tau * target.grad_energy(z) + math.sqrt(2.0 * tau) * rng.standard_normal(z.shape)
+        np.testing.assert_array_equal(state.positions, z)
+
+    def test_uld(self):
+        target, z, v = self.setup_target(54)
+        tau, gamma = 0.1, 2.0
+        state = uld_run(target, UldSpec(steps=6, tau=tau, gamma=gamma),
+                        ChainState(z, np.random.default_rng(55), velocity=v))
+        var_z, cov, var_v, _ = uld_noise_covariance(gamma, tau)
+        a = math.sqrt(var_z)
+        b = cov / a
+        c = math.sqrt(var_v - b * b)
+        c1 = -math.expm1(-gamma * tau) / gamma
+        rng = np.random.default_rng(55)
+        for _ in range(6):
+            grad = target.grad_energy(z)
+            e1, e2 = rng.standard_normal(z.shape), rng.standard_normal(z.shape)
+            z, v = (z + c1 * v - ((tau - c1) / gamma) * grad + a * e1,
+                    math.exp(-gamma * tau) * v - c1 * grad + (b * e1 + c * e2))
+        np.testing.assert_array_equal(state.positions, z)
+        np.testing.assert_array_equal(state.velocity, v)
+
+    def test_mala_and_its_caller_keeps_its_positions(self):
+        target, z, _ = self.setup_target(56)
+        before = z.copy()
+        tau = 0.05
+        state = mala_run(target, MalaSpec(steps=6, tau=tau), ChainState(z, np.random.default_rng(57)))
+        np.testing.assert_array_equal(z, before)
+        rng = np.random.default_rng(57)
+        score_z, logp_z = target.score(z, with_log_density=True)
+        grad_z = target.grad_energy(z, score_value=score_z)
+        for _ in range(6):
+            z_prop = z - tau * grad_z + math.sqrt(2.0 * tau) * rng.standard_normal(z.shape)
+            log_u = np.log(rng.random(AHEAD_CHAINS))
+            score_prop, logp_prop = target.score(z_prop, with_log_density=True)
+            r = -target.energy_diff(z, z_prop, log_p=(logp_z, logp_prop))
+            grad_prop = target.grad_energy(z_prop, score_value=score_prop)
+            accept = log_u < mala_accept_log(target, z, z_prop, tau, grad_z=grad_z,
+                                             grad_prop=grad_prop, neg_energy_diff=r)
+            keep = accept[:, None]
+            z = np.where(keep, z_prop, z)
+            score_z = np.where(keep, score_prop, score_z)
+            grad_z = np.where(keep, grad_prop, grad_z)
+            logp_z = np.where(accept, logp_prop, logp_z)
+        np.testing.assert_array_equal(state.positions, z)
+        assert 0 < state.accept_count < state.propose_count

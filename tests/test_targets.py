@@ -529,6 +529,45 @@ class TestHashedDirections:
         want = score(mix, 0.7, x) + 0.3 * reference_direction(payload, 10)
         np.testing.assert_array_equal(oracle.score(0.7, x), want)
 
+    @pytest.mark.parametrize("cell", [1e-6, 0.5, 3.0, 1e6])
+    def test_points_within_half_a_cell_round_to_cell_zero(self, cell):
+        # |x| < cell / 2 bounds the rounded quotient by 1/2, which rounds half
+        # to even to 0; -0.0 rounds to -0.0, whose int64 key is 0's.
+        below = np.nextafter(cell / 2, 0.0)
+        x = np.concatenate([[0.0, -0.0, below, -below, 5e-324, -5e-324],
+                            np.random.default_rng(1).uniform(-below, below, 10_000)])
+        quotient = x / cell
+        assert np.all(np.abs(quotient) <= 0.5)
+        assert np.all(np.round(quotient) == 0.0)
+        assert np.round(0.5) == np.round(-0.5) == 0.0
+        assert not np.round(quotient).astype(np.int64).any()
+
+    def test_a_batch_within_half_a_cell_skips_the_cell_keys(self, monkeypatch):
+        def keyed(self, x):
+            raise AssertionError("a batch within half a cell of 0 was keyed")
+
+        oracle = ScoreOracle(preset_ring(), score_error=0.3, error_seed=5, error_cell=1e6)
+        x = np.random.default_rng(4).standard_normal((50, 10))
+        x[0, 0], x[1, 1], x[2] = np.nextafter(5e5, 0.0), -np.nextafter(5e5, 0.0), -0.0
+        want = 0.3 * reference_direction(cell_payloads([[0] * 10], oracle._key_prefix(0.7))[0], 10)
+        monkeypatch.setattr(ScoreOracle, "_cells", keyed)
+        np.testing.assert_array_equal(oracle._score_perturbation(0.7, x), want)
+
+    @pytest.mark.parametrize("edge", [5e5, -5e5, np.nan])
+    def test_a_row_at_half_a_cell_or_nan_is_keyed(self, edge, monkeypatch):
+        oracle = ScoreOracle(preset_ring(), score_error=0.3, error_seed=5, error_cell=1e6)
+        x = np.random.default_rng(4).standard_normal((50, 10))
+        x[7, 3] = edge
+        keyed, real = [], ScoreOracle._cells
+        monkeypatch.setattr(ScoreOracle, "_cells", lambda self, v: keyed.append(1) or real(self, v))
+        got = np.broadcast_to(oracle._score_perturbation(0.7, x), x.shape)
+        assert keyed
+        prefix, cells = oracle._key_prefix(0.7), np.round(x / 1e6)
+        payloads = [prefix + b"\x01" + (row + 0.0).tobytes() if np.isnan(row).any()
+                    else cell_payloads([row], prefix)[0] for row in cells]
+        want = [0.3 * reference_direction(p, 10) for p in payloads]
+        np.testing.assert_array_equal(got, want)
+
     def test_rows_left_at_zero_take_the_defining_formula(self, monkeypatch):
         # Whatever the lockstep pass leaves at zero, unfinished or a zero
         # draw, is derived from its digest alone.
