@@ -208,11 +208,12 @@ _SS_MIX_L, _SS_MIX_R = 0xCA01F9DD, 0x4973F715
 _U32, _U64 = (1 << 32) - 1, (1 << 64) - 1
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _PCG_MULT_LIMBS = tuple(np.uint64(v) for v in (_PCG_MULT >> 64, _PCG_MULT & _U64))
-# numpy's ziggurat tables; the PCG64 words a row may read beyond one per
-# normal, enough for a few wedge draws; and the relative margin within which
-# a wedge test is left to numpy's own generator.
+# numpy's ziggurat tables and tail constants; the PCG64 words a row may read
+# beyond one per normal, enough for a few wedge or tail draws; and the
+# relative margin within which np.exp may not decide a wedge test.
 _ZIG_KI, _ZIG_WI, _ZIG_FI = (np.array(t, dtype=dt) for t, dt in (
     (_ziggurat.KI, np.uint64), (_ziggurat.WI, np.float64), (_ziggurat.FI, np.float64)))
+_ZIG_NOR_R, _ZIG_NOR_INV_R = 3.6541528853610087963519472518, 0.27366123732975827203338247596
 _SPARE_WORDS = 4
 _WEDGE_MARGIN = 2.0**-48
 
@@ -338,17 +339,31 @@ def _ziggurat_candidates(words: Array) -> tuple[Array, Array, Array]:
     return layer, x, rabs < _ZIG_KI[layer]
 
 
+def _tail_draw(words: Array, q: int) -> tuple[float, int] | None:
+    """(value, index of the next unread word) of the ziggurat tail draw whose
+    candidate is words[q], or None when the words run out first.  Each try
+    reads two words as next_double and takes libm's log1p, as numpy's C does."""
+    for j in range(q + 1, len(words) - 1, 2):
+        u, v = ((int(w) >> 11) * (1.0 / 9007199254740992.0) for w in words[j:j + 2])
+        xx = -_ZIG_NOR_INV_R * math.log1p(-u)
+        yy = -math.log1p(-v)
+        if yy + yy > xx * xx:
+            return (-(_ZIG_NOR_R + xx) if int(words[q]) >> 17 & 1 else _ZIG_NOR_R + xx), j + 2
+    return None
+
+
 def _standard_normals(limbs: tuple[Array, ...], dim: int) -> Array:
     """Generator(PCG64).standard_normal(dim) for each PCG64 state limbs =
     (hi, lo, inc hi, inc lo), in lockstep, shape (m, dim).
 
     This is random_standard_normal's ziggurat.  A fast draw takes one word;
     a wedge draw takes one more word as next_double and is redrawn when
-    rejected.  Rows whose first dim words are all fast are done in one pass;
-    the rest read up to _SPARE_WORDS more words.  A row is left unfinished,
-    all zeros, when it meets a tail draw, runs out of words, or meets a
-    wedge test within _WEDGE_MARGIN (relative) of its bound, where np.exp
-    need not match libm's exp to the last bit.
+    rejected; a tail draw takes two more per try.  Rows whose first dim
+    words are all fast are done in one pass; the rest read up to
+    _SPARE_WORDS more words.  Tail draws, and wedge tests within
+    _WEDGE_MARGIN (relative) of their bound, where np.exp need not match
+    libm's exp to the last bit, are finished one by one with libm's
+    functions.  A row that runs out of words is left unfinished, all zeros.
     """
     hi, lo = _pcg64_ahead(*limbs, dim)
     words = _xsl_rr(hi, lo)  # (dim, m)
@@ -375,16 +390,24 @@ def _standard_normals(limbs: tuple[Array, ...], dim: int) -> Array:
             break
         r, q = rows[live], q[live]
         i = layer[r, q]
-        stuck = (i == 0) | (q + 1 >= k)  # a tail draw, or no word left for the uniform
+        stuck = q + 1 >= k  # no word left for a uniform
         bad[r[stuck]] = True
         r, q, i = r[~stuck], q[~stuck], i[~stuck]
+        for row, col in zip(r[i == 0], q[i == 0]):
+            drawn = _tail_draw(words[row], col)
+            bad[row] = drawn is None
+            if drawn:
+                x[row, col], end = drawn
+                take[row, col], take[row, col + 1:end] = True, False
+                pending[row, col:end] = False
+        r, q, i = r[i > 0], q[i > 0], i[i > 0]
         u = (words[r, q + 1] >> 11) * (1.0 / 9007199254740992.0)
         test = (_ZIG_FI[i - 1] - _ZIG_FI[i]) * u + _ZIG_FI[i]
         xq = x[r, q]
         bound = np.exp(-0.5 * xq * xq)
-        margin = bound * _WEDGE_MARGIN
-        accept = test < bound - margin
-        bad[r[~accept & (test <= bound + margin)]] = True
+        accept = test < bound
+        for j in np.flatnonzero(np.abs(test - bound) <= bound * _WEDGE_MARGIN):
+            accept[j] = test[j] < math.exp(-0.5 * xq[j] * xq[j])
         take[r, q], take[r, q + 1] = accept, False
         pending[r, q], pending[r, q + 1] = False, False
     take &= np.cumsum(take, axis=1) <= dim
@@ -408,15 +431,32 @@ def _row_direction(digest: bytes, dim: int) -> Array:
     return vec / norm
 
 
-def _hashed_unit_directions(payloads: Sequence[bytes], dim: int) -> Array:
-    """One pseudorandom unit vector per payload, shape (len(payloads), dim).
+# blake2b's set-up, done once per digest size; only ever copied, never updated.
+_BLAKE2B = {size: hashlib.blake2b(digest_size=size) for size in (8, 16)}
 
-    Row i is bit-equal to _row_direction(blake2b(payload, digest_size=16), dim).
-    The seeding, the PCG64 draws and the ziggurat run in lockstep over the
-    batch; a row that comes back with norm 0, unfinished by the ziggurat or
-    a true zero draw, is derived by _row_direction itself.
+
+def _prefixed(prefix: bytes, size: int):
+    """The size template, copied and fed prefix.  A copy of this state fed a
+    payload digests like blake2b(prefix + payload, digest_size=size)."""
+    state = _BLAKE2B[size].copy()
+    state.update(prefix)
+    return state
+
+
+def _hashed_unit_directions(keys: Sequence[bytes], dim: int, prefix: bytes = b"") -> Array:
+    """One pseudorandom unit vector per key, shape (len(keys), dim).
+
+    Row i is bit-equal to _row_direction(blake2b(prefix + keys[i],
+    digest_size=16), dim).  The seeding, the PCG64 draws and the ziggurat
+    run in lockstep over the batch; a row that comes back with norm 0,
+    unfinished by the ziggurat or a true zero draw, is derived by
+    _row_direction itself.
     """
-    digests = [hashlib.blake2b(p, digest_size=16).digest() for p in payloads]
+    state, digests = _prefixed(prefix, 16), []
+    for key in keys:
+        row = state.copy()
+        row.update(key)
+        digests.append(row.digest())
     seeds = _seed_sequence_state(np.frombuffer(b"".join(digests), dtype="<u4").reshape(-1, 4))
     out = _standard_normals(_pcg64_states(seeds), dim)
     # A stacked vector-vector matmul is the same dot product as the 1-D
@@ -437,14 +477,9 @@ def _cell_direction(payload: bytes, dim: int) -> Array:
     The single-cell fast path asks for one direction per query time; the
     bound holds every query time of the preset grid.
     """
-    row = _row_direction(hashlib.blake2b(payload, digest_size=16).digest(), dim)
+    row = _row_direction(_prefixed(payload, 16).digest(), dim)
     row.flags.writeable = False
     return row
-
-
-def _hashed_sign(payload: bytes) -> float:
-    digest = hashlib.blake2b(payload, digest_size=8).digest()
-    return 1.0 if digest[0] % 2 == 0 else -1.0
 
 
 @dataclass(frozen=True)
@@ -498,25 +533,22 @@ class ScoreOracle:
         return np.round(np.asarray(x, dtype=np.float64).reshape(-1, self.dim) / self.error_cell)
 
     @staticmethod
-    def _cell_keys(cells: Array, prefix: bytes = b"") -> list[bytes]:
-        """prefix + the int64 bytes of each row of cells, in one pass.
+    def _cell_keys(cells: Array) -> list[bytes]:
+        """The int64 bytes of each row of cells, in one pass.
 
         A far cell (a coordinate of magnitude 2^63 or more, or non-finite)
-        has no int64 form; it gets prefix, a 0x01 tag byte and its float64
-        bytes instead, a key length no in-range cell has.
+        has no int64 form; it gets a 0x01 tag byte and its float64 bytes
+        instead, a key length no in-range cell has.
         """
-        n, width = cells.shape[0], len(prefix) + 8 * cells.shape[1]
+        n, width = cells.shape[0], 8 * cells.shape[1]
         far, ints = [], cells
         if n and not (-2.0 ** 63 < cells.min() and cells.max() < 2.0 ** 63):  # NaN too
             ok = np.abs(cells) < 2.0 ** 63
             far = np.flatnonzero(~ok.all(axis=-1))
             ints = np.where(ok, cells, 0.0)
-        raw = np.empty((n, width), dtype=np.uint8)
-        raw[:, :len(prefix)] = np.frombuffer(prefix, dtype=np.uint8)
-        raw[:, len(prefix):] = ints.astype(np.int64).view(np.uint8).reshape(n, width - len(prefix))
-        keys = raw.view(f"V{width}").ravel().tolist()
+        keys = ints.astype(np.int64).view(f"V{width}").ravel().tolist()
         for i in far:
-            keys[i] = prefix + b"\x01" + (cells[i] + 0.0).tobytes()  # + 0.0 maps -0.0 to 0.0
+            keys[i] = b"\x01" + (cells[i] + 0.0).tobytes()  # + 0.0 maps -0.0 to 0.0
         return keys
 
     def _key_prefix(self, t: float) -> bytes:
@@ -530,9 +562,9 @@ class ScoreOracle:
             return self.score_error * _cell_direction(prefix + bytes(8 * self.dim), self.dim)
         cells = self._cells(x)
         if cells.shape[0] > 0 and (cells == cells[0]).all():  # NaN rows never match
-            payload = self._cell_keys(cells[:1], prefix)[0]
+            payload = prefix + self._cell_keys(cells[:1])[0]
             return self.score_error * _cell_direction(payload, self.dim)
-        out = _hashed_unit_directions(self._cell_keys(cells, prefix), self.dim)
+        out = _hashed_unit_directions(self._cell_keys(cells), self.dim, prefix)
         return self.score_error * out.reshape(np.shape(x)[:-1] + (self.dim,))
 
     def score(self, t, x, with_log_density: bool = False):
@@ -569,13 +601,21 @@ class ScoreOracle:
             return exact
         ca, cb = self._cells(z), self._cells(z2)
         rows = np.flatnonzero((ca != cb).any(axis=-1))
-        keys_a, keys_b = self._cell_keys(ca[rows]), self._cell_keys(cb[rows])
-        prefix = self._key_prefix(t)
+        state, signs = _prefixed(self._key_prefix(t), 8), []
+        # The digest of a row's keys in ascending order sets its sign, which
+        # flips with the order.  Rows with a NaN cell compare unequal even
+        # when their keys match.
+        for a, b in zip(self._cell_keys(ca[rows]), self._cell_keys(cb[rows])):
+            if a == b:
+                signs.append(0.0)
+                continue
+            low, high, flip = (a, b, 1.0) if a < b else (b, a, -1.0)
+            pair = state.copy()
+            pair.update(low)
+            pair.update(high)
+            signs.append(flip if pair.digest()[0] % 2 == 0 else -flip)
         delta = np.zeros(ca.shape[0])
-        # Rows with a NaN cell compare unequal even when their keys match.
-        delta[rows] = [0.0 if a == b else
-                       _hashed_sign(prefix + a + b) if a < b else -_hashed_sign(prefix + b + a)
-                       for a, b in zip(keys_a, keys_b)]
+        delta[rows] = signs
         delta = delta.reshape(np.shape(z)[:-1])
         out = exact + self.energy_error * delta
         return float(out) if np.ndim(out) == 0 else out

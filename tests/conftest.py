@@ -1,9 +1,14 @@
-"""Suite-wide guards."""
+"""Suite-wide guards and fixtures."""
 
+import importlib
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def fail_on_leaked_threads(before, grace=2.0):
@@ -29,3 +34,13 @@ def no_leaked_threads():
     before = set(threading.enumerate())
     yield
     fail_on_leaked_threads(before)
+
+
+@pytest.fixture
+def tracer_module(monkeypatch):
+    """perfbench/tracer.py, imported as it stands without writing bytecode."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    sys.modules.pop("tracer", None)
+    yield importlib.import_module("tracer")
+    sys.modules.pop("tracer", None)

@@ -3,6 +3,7 @@
 import subprocess
 import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -12,7 +13,9 @@ import conftest
 import rtkbench
 import test_bench
 import test_package
-from rtkbench import bench
+import test_perfbench_interface
+import test_targets
+from rtkbench import bench, targets
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -56,3 +59,30 @@ def test_a_leaked_thread_fails_the_thread_guard():
         leaked.join(5.0)
     assert not leaked.is_alive()
     conftest.fail_on_leaked_threads(before, grace=0.0)
+
+
+def test_a_template_with_a_stray_byte_fails_the_digest_identity(monkeypatch):
+    stray = targets._BLAKE2B[16].copy()
+    stray.update(b"\x00")
+    monkeypatch.setitem(targets._BLAKE2B, 16, stray)
+    with pytest.raises(AssertionError):
+        test_targets.check_prefixed_digest(16, 0)
+
+
+def test_a_traced_layer_on_a_second_thread_fails_the_span_guard(tracer_module):
+    config = test_perfbench_interface.small_grid()
+    tracer = test_perfbench_interface.new_tracer(tracer_module, config)
+
+    def on_a_second_thread():
+        # The tracer's uninstall puts back the original ula_step.
+        traced = rtkbench.samplers.ula_step
+
+        def ula_step(*args, **kwargs):
+            with ThreadPoolExecutor(1) as pool:
+                return pool.submit(traced, *args, **kwargs).result()
+
+        rtkbench.samplers.ula_step = ula_step
+
+    pushers, wall = test_perfbench_interface.traced_run(tracer, config, on_a_second_thread)
+    with pytest.raises(AssertionError, match="spans were opened on another thread"):
+        test_perfbench_interface.check_spans_on_the_caller(tracer, pushers, wall)

@@ -1,9 +1,12 @@
 """Tests for the analytic mixture targets and the score oracle."""
 
+import functools
 import hashlib
 import math
 import pickle
+import sys
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -468,6 +471,52 @@ def cell_payloads(cells, prefix=b"\x07" * 16):
     return [prefix + np.asarray(row, dtype=np.int64).tobytes() for row in cells]
 
 
+def count_per_row_rows(monkeypatch):
+    """The digests that reach targets._row_direction from now on."""
+    seen, real = [], targets._row_direction
+    monkeypatch.setattr(targets, "_row_direction", lambda d, dim: seen.append(d) or real(d, dim))
+    return seen
+
+
+def numpy_draws(seed, dim):
+    """(layer byte of its first word, words read) of each draw of
+    Generator(PCG64(seed)).standard_normal(dim), from numpy's own PCG64.
+
+    A tail draw has layer 0 and reads two more words per try.
+    """
+    bits, raw = np.random.PCG64(seed), np.random.PCG64(seed)
+    gen, draws = np.random.Generator(bits), []
+    for _ in range(dim):
+        layer, words = int(raw.random_raw()) & 0xFF, 1
+        gen.standard_normal()
+        while raw.state != bits.state:
+            raw.random_raw()
+            words += 1
+        draws.append((layer, words))
+    return draws
+
+
+@functools.lru_cache(maxsize=None)
+def tail_rows(dim):
+    """{payload: numpy_draws of its digest} for the rows among 80,000 / dim
+    random payloads that take a tail draw.
+
+    The search reads each row's first dim words as ziggurat candidates;
+    numpy's own words then confirm the tail draws (an earlier wedge draw may
+    have read the candidate as its uniform).
+    """
+    rng = np.random.default_rng(dim)
+    payloads = [rng.bytes(8 * dim) for _ in range(80_000 // dim)]
+    seeds = [hashlib.blake2b(p, digest_size=16).digest() for p in payloads]
+    words = targets._seed_sequence_state(np.frombuffer(b"".join(seeds), "<u4").reshape(-1, 4))
+    hi, lo = targets._pcg64_ahead(*targets._pcg64_states(words), dim)
+    layer, _, fast = targets._ziggurat_candidates(targets._xsl_rr(hi, lo))
+    found = {payloads[i]: numpy_draws(int.from_bytes(seeds[i], "little"), dim)
+             for i in np.flatnonzero(((layer == 0) & ~fast).any(axis=0))}
+    return {p: draws for p, draws in found.items()
+            if any(layer == 0 and words > 1 for layer, words in draws)}
+
+
 class TestHashedDirections:
     # The full 350-row batch keeps the id of its dimension alone.
     @pytest.mark.parametrize("dim, n", [
@@ -525,7 +574,7 @@ class TestHashedDirections:
         mix = preset_ring()
         oracle = ScoreOracle(mix, score_error=0.3, error_seed=5, error_cell=1e6)
         x = np.random.default_rng(4).standard_normal((50, 10))
-        payload = oracle._cell_keys(oracle._cells(x[:1]), oracle._key_prefix(0.7))[0]
+        payload = oracle._key_prefix(0.7) + oracle._cell_keys(oracle._cells(x[:1]))[0]
         want = score(mix, 0.7, x) + 0.3 * reference_direction(payload, 10)
         np.testing.assert_array_equal(oracle.score(0.7, x), want)
 
@@ -608,12 +657,48 @@ class TestHashedDirections:
     @pytest.mark.parametrize("setting, value", [("_SPARE_WORDS", 1), ("_WEDGE_MARGIN", 1.0)],
                              ids=["out-of-words", "every-wedge-in-margin"])
     def test_undecided_rows_fall_back_to_the_generator(self, monkeypatch, setting, value):
-        # With one spare word many rows run out of words; with a margin of 1
-        # every wedge test is left undecided.  Those rows take the per-row path.
+        # With one spare word many rows run out of words and take the per-row
+        # path; with a margin of 1 every wedge test is decided by math.exp.
         monkeypatch.setattr(targets, setting, value)
         payloads = cell_payloads(np.random.default_rng(8).integers(-10**6, 10**6, (2000, 10)))
         want = np.array([reference_direction(p, 10) for p in payloads])
         np.testing.assert_array_equal(targets._hashed_unit_directions(payloads, 10), want)
+
+    def test_wedges_in_the_margin_stay_in_the_lockstep_pass(self, monkeypatch):
+        # A margin of 1 sends every wedge test of the batch to math.exp; no
+        # more rows reach the per-row path than under the default margin.
+        payloads = cell_payloads(np.random.default_rng(8).integers(-10**6, 10**6, (2000, 10)))
+        want = np.array([reference_direction(p, 10) for p in payloads])
+        per_row = count_per_row_rows(monkeypatch)
+        np.testing.assert_array_equal(targets._hashed_unit_directions(payloads, 10), want)
+        default = len(per_row)
+        monkeypatch.setattr(targets, "_WEDGE_MARGIN", 1.0)
+        np.testing.assert_array_equal(targets._hashed_unit_directions(payloads, 10), want)
+        assert len(per_row) == 2 * default
+
+    @pytest.mark.parametrize("dim", [2, 10, 32])
+    def test_tail_draws_stay_in_the_lockstep_pass(self, dim, monkeypatch):
+        """Rows found by search to take a tail draw match the defining
+        formula; only those whose draws read more than their dim +
+        _SPARE_WORDS words reach the per-row path."""
+        rows = tail_rows(dim)
+        payloads = list(rows)
+        long = {hashlib.blake2b(p, digest_size=16).digest() for p, draws in rows.items()
+                if sum(words for _, words in draws) > dim + targets._SPARE_WORDS}
+        assert len(payloads) - len(long) >= 8
+        want = np.array([reference_direction(p, dim) for p in payloads])
+        per_row = count_per_row_rows(monkeypatch)
+        np.testing.assert_array_equal(targets._hashed_unit_directions(payloads, dim), want)
+        assert set(per_row) == long
+
+    def test_a_retried_tail_draw_stays_in_the_lockstep_pass(self, monkeypatch):
+        retried = [p for p, draws in tail_rows(10).items()
+                   if any(layer == 0 and words >= 5 for layer, words in draws)]
+        assert retried
+        per_row = count_per_row_rows(monkeypatch)
+        np.testing.assert_array_equal(targets._hashed_unit_directions(retried, 10),
+                                      [reference_direction(p, 10) for p in retried])
+        assert per_row == []
 
     @pytest.mark.parametrize("n", [0, 1, 12345, 2**32 - 1, 2**32, 2**64 + 5,
                                    2**96 - 1, 2**96 + 3, 2**128 - 1])
@@ -661,9 +746,8 @@ class TestFarErrorCells:
     def test_in_range_keys_keep_their_bytes(self):
         oracle = self.oracle(score_error=1.0)
         x = np.array([[0.25, -3.5, 1e6], [1.0, 2.0, -7e12]])
-        prefix = oracle._key_prefix(0.5)
-        keys = oracle._cell_keys(oracle._cells(x), prefix)
-        assert keys == cell_payloads(np.round(x / 1e-6).astype(np.int64), prefix)
+        keys = oracle._cell_keys(oracle._cells(x))
+        assert keys == cell_payloads(np.round(x / 1e-6).astype(np.int64), b"")
 
     def test_distinct_far_points_get_distinct_directions(self):
         oracle = self.oracle(score_error=1.0)
@@ -696,3 +780,88 @@ class TestFarErrorCells:
         assert abs(got[0]) == 0.5 and got[1] == 0.0 and got[2] == 0.0
         np.testing.assert_array_equal(got, -rev)
 
+
+
+# Payload lengths either side of blake2b's 128-byte block, after a 16-byte prefix.
+PAYLOAD_LENGTHS = [0, 1, 63, 64, 111, 112, 127, 128, 129, 176, 256]
+
+
+def check_prefixed_digest(size, n):
+    """A copy of the prefixed state that absorbs an n-byte payload, whole or
+    in two parts, gives the one-shot blake2b(prefix + payload, digest_size=size)."""
+    prefix, payload = bytes(range(16)), bytes((7 * i + n) % 256 for i in range(n))
+    want = hashlib.blake2b(prefix + payload, digest_size=size).digest()
+    state = targets._prefixed(prefix, size)
+    for parts in ([payload], [payload[:n // 2], payload[n // 2:]]):
+        row = state.copy()
+        for part in parts:
+            row.update(part)
+        assert row.digest() == want, (size, n, len(parts))
+
+
+class TestBlake2bStates:
+    @pytest.mark.parametrize("n", PAYLOAD_LENGTHS)
+    @pytest.mark.parametrize("size", [8, 16])
+    def test_prefixed_copy_gives_the_one_shot_digest(self, size, n):
+        check_prefixed_digest(size, n)
+
+    def test_signs_match_the_one_shot_formula(self):
+        oracle = ScoreOracle(preset_ring(), energy_error=0.05, error_seed=3, error_cell=0.25)
+        rng = np.random.default_rng(12)
+        z = rng.standard_normal((300, 10))
+        moved = rng.random(300) < 0.6
+        moved[2:4] = False
+        z2 = z + rng.normal(scale=0.5, size=z.shape) * moved[:, None]
+        z[:4, 2], z2[2:6, 2] = np.nan, np.nan  # NaN in z, in both alike, in z2
+        prefix = oracle._key_prefix(0.4)
+
+        def key(cells):
+            return (cells.astype(np.int64).tobytes() if np.isfinite(cells).all()
+                    else b"\x01" + (cells + 0.0).tobytes())
+
+        want = []
+        for a, b in zip(np.round(z / 0.25), np.round(z2 / 0.25)):
+            a, b = key(a), key(b)
+            digest = hashlib.blake2b(prefix + min(a, b) + max(a, b), digest_size=8).digest()
+            sign = 1.0 if digest[0] % 2 == 0 else -1.0
+            want.append(0.0 if a == b else sign if a < b else -sign)
+        log_p = (np.zeros(300), np.zeros(300))
+        got = oracle.energy_difference(0.4, z, z2, log_p=log_p)
+        np.testing.assert_array_equal(got, 0.05 * np.array(want))
+        np.testing.assert_array_equal(oracle.energy_difference(0.4, z2, z, log_p=log_p), -got)
+        finite = np.arange(300) >= 6
+        assert (got[finite & ~moved] == 0.0).all() and (got[finite & moved] != 0.0).all()
+        assert (got[2:4] == 0.0).all() and (got[[0, 1, 4, 5]] != 0.0).all()
+
+    def test_templates_stay_fresh_after_a_fine_field_batch(self):
+        oracle = ScoreOracle(preset_ring(), score_error=0.3, energy_error=0.05, error_seed=1,
+                             error_cell=1e-6)
+        x = np.random.default_rng(3).standard_normal((2000, 10))
+        oracle.score(0.5, x)
+        oracle.energy_difference(0.5, x, x + 1e-3, log_p=(np.zeros(2000), np.zeros(2000)))
+        for size in (8, 16):
+            assert targets._BLAKE2B[size].digest() == hashlib.blake2b(digest_size=size).digest()
+            check_prefixed_digest(size, 80)
+
+    def test_threads_hash_from_the_shared_templates(self):
+        # Four threads copy the templates at once, switching every
+        # microsecond; each must get the serial result.
+        oracle = ScoreOracle(preset_ring(), score_error=0.3, energy_error=0.05, error_seed=2,
+                             error_cell=1e-6)
+        xs = [np.random.default_rng(20 + i).standard_normal((300, 10)) for i in range(4)]
+
+        def work(x):
+            return (oracle._score_perturbation(0.5, x),
+                    oracle.energy_difference(0.5, x, x + 1e-3, log_p=(np.zeros(300),) * 2))
+
+        want = [work(x) for x in xs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                got = list(pool.map(work, xs, timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        for (score_got, sign_got), (score_want, sign_want) in zip(got, want):
+            np.testing.assert_array_equal(score_got, score_want)
+            np.testing.assert_array_equal(sign_got, sign_want)
