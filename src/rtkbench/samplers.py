@@ -341,6 +341,7 @@ def mala_run(target, spec: MalaSpec, state: ChainState) -> ChainState:
     grad_z = target.grad_energy(z, score_value=score_z)
     state.nfe += state.n_chains
     root = math.sqrt(2.0 * tau)
+    keep = np.empty(z.shape, dtype=bool)  # accept, one row per chain, for the copies
     plan = [("standard_normal", z.shape), ("random", state.n_chains)] * spec.steps
     with _DrawAhead(state, plan) as rng:
         for _ in range(spec.steps):
@@ -364,7 +365,7 @@ def mala_run(target, spec: MalaSpec, state: ChainState) -> ChainState:
             state.propose_count += state.n_chains
             state.accept_count += int(accept.sum())
             state.nfe += spec.step_nfe * state.n_chains
-            keep = accept[:, None]
+            np.copyto(keep, accept[:, None])
             np.copyto(z, z_prop, where=keep)
             np.copyto(score_z, score_prop, where=keep)
             np.copyto(grad_z, grad_prop, where=keep)

@@ -36,6 +36,7 @@ __all__ = [
 ]
 
 _TIME_QUANTUM = 1e-9  # time resolution used when hashing error-field queries
+_SAMPLE_CHUNK_BYTES, _TILE_ROWS = 4 << 20, 4096  # sample_base's noise chunk and transposed tile
 
 
 def _readonly(a: Array) -> Array:
@@ -190,14 +191,27 @@ def score(mix: IsotropicGaussianMixture, t, x, with_log_density: bool = False):
 
 
 def sample_base(mix: IsotropicGaussianMixture, n: int, rng: np.random.Generator) -> Array:
-    """n exact draws from the mixture, shape (n, d)."""
+    """n exact draws from the mixture, shape (n, d): the transpose of a (d, n) array.
+
+    Bit-equal to means[idx] + sqrt(variances[idx]) * standard_normal((n, d)),
+    each drawn in one call; the noise is drawn one 4 MiB chunk at a time, so
+    the peak is the output plus that chunk and idx (README "Determinism").
+    """
     if n < 0:
         raise ValueError("sample count must be >= 0")
     idx = rng.choice(mix.n_components, size=n, p=mix.weights)
-    out = rng.standard_normal((n, mix.dim))
-    out *= np.sqrt(mix.variances[idx])[:, None]  # means[idx] is the one (n, d) temporary
-    out += mix.means[idx]
-    return out
+    out = np.empty((mix.dim, n))
+    chunk = _TILE_ROWS * -(-_SAMPLE_CHUNK_BYTES // (out.itemsize * mix.dim * _TILE_ROWS))
+    noise = np.empty((min(chunk, n), mix.dim))
+    for lo in range(0, n, _TILE_ROWS):  # each chunk is transposed a cache-sized tile at a time
+        if lo % chunk == 0:
+            rng.standard_normal(out=noise[:n - lo])
+        hi = min(lo + _TILE_ROWS, n)
+        np.multiply(noise[lo % chunk:][:hi - lo].T, np.sqrt(mix.variances[idx[lo:hi]]), out=out[:, lo:hi])
+    del noise  # freed before the means[idx] columns are gathered
+    for row, mean in zip(out, mix.means.T):
+        row += mean[idx]
+    return out.T
 
 
 # SeedSequence's hashing constants (numpy/random/bit_generator.pyx) and

@@ -12,10 +12,11 @@ import pytest
 import conftest
 import rtkbench
 import test_bench
+import test_metrics
 import test_package
 import test_perfbench_interface
 import test_targets
-from rtkbench import bench, targets
+from rtkbench import bench, metrics, targets
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -59,6 +60,18 @@ def test_a_leaked_thread_fails_the_thread_guard():
         leaked.join(5.0)
     assert not leaked.is_alive()
     conftest.fail_on_leaked_threads(before, grace=0.0)
+
+
+def test_a_sort_at_construction_fails_the_first_call_guard(monkeypatch):
+    build = metrics.SortedReference.__init__
+
+    def sort_early(self, samples):
+        build(self, samples)
+        self._data.sort(axis=0)
+
+    monkeypatch.setattr(metrics.SortedReference, "__init__", sort_early)
+    with pytest.raises(AssertionError):
+        test_metrics.check_sorted_on_first_call()
 
 
 def test_a_template_with_a_stray_byte_fails_the_digest_identity(monkeypatch):

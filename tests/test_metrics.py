@@ -135,6 +135,31 @@ class TestSortedReference:
         assert ranges == [(ref[:, j].min(), ref[:, j].max()) for j in range(3)]
         assert shared.sorted_columns()[0] is data
 
+    def test_the_first_call_sorts_the_drawn_reference_in_place(self):
+        check_sorted_on_first_call()
+
+
+def check_sorted_on_first_call():
+    """A run's reference sorts nothing when built, then sorts in place.
+
+    perfbench charges the reference's draw to sample_base and its sort to
+    the first marginal_accuracy call; a sort at construction would run in
+    neither.
+    """
+    mix = IsotropicGaussianMixture.ring(12, 6)
+    drawn = sample_base(mix, 5000, np.random.default_rng(21))
+    before = drawn.copy()
+    reference = SortedReference(drawn)
+    assert drawn.tobytes() == before.tobytes() and drawn.flags.writeable
+    x = sample_base(mix, 300, np.random.default_rng(22))
+    acc = marginal_accuracy(x, reference)
+    data, _ = reference.sorted_columns()
+    assert np.shares_memory(data, drawn) and not drawn.flags.writeable
+    assert drawn.tobytes() == np.sort(before, axis=0).tobytes()
+    c_ordered = SortedReference(np.ascontiguousarray(before))
+    assert marginal_accuracy(x, c_ordered) == acc
+    assert c_ordered.sorted_columns()[0].tobytes() == data.tobytes()
+
 
 class TestModeMass:
     def test_exact_draws_near_uniform(self):

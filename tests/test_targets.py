@@ -5,6 +5,7 @@ import hashlib
 import math
 import pickle
 import sys
+import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 
@@ -331,16 +332,75 @@ class TestSampleBase:
 
     @pytest.mark.parametrize("d", [2, 10, 32])
     def test_in_place_draw_is_bit_equal_to_the_expression(self, d):
-        rng = np.random.default_rng(d)
-        w = rng.uniform(0.5, 2.0, 5)
-        mix = IsotropicGaussianMixture(w / w.sum(), rng.normal(size=(5, d)),
-                                       rng.uniform(0.01, 3.0, 5))
+        mix = random_mixture(d)
         got = sample_base(mix, 3000, np.random.default_rng(7))
-        ref_rng = np.random.default_rng(7)
-        idx = ref_rng.choice(mix.n_components, size=3000, p=mix.weights)
-        noise = ref_rng.standard_normal((3000, d))
-        want = mix.means[idx] + np.sqrt(mix.variances[idx])[:, None] * noise
-        assert got.tobytes() == want.tobytes()
+        assert got.tobytes() == one_shot_draw(mix, 3000, np.random.default_rng(7)).tobytes()
+
+    @pytest.mark.parametrize("d", [1, 2, 10, 32])
+    @pytest.mark.parametrize("chunks", [0, 1, 2])
+    @pytest.mark.parametrize("extra", [0, 37])
+    def test_chunked_draw_matches_one_draw_and_stores_columns(self, d, chunks, extra):
+        if chunks == extra == 0:
+            extra = 1000  # below one chunk
+        n = chunks * chunk_rows(d) + extra
+        mix = random_mixture(d)
+        rng, ref_rng = CountingGenerator(np.random.PCG64(11)), np.random.default_rng(11)
+        got = sample_base(mix, n, rng)
+        assert rng.normal_sizes == [(chunk_rows(d), d)] * chunks + [(extra, d)] * (extra > 0)
+        assert got.shape == (n, d)
+        assert got.tobytes() == one_shot_draw(mix, n, ref_rng).tobytes()
+        assert rng.standard_normal(3).tobytes() == ref_rng.standard_normal(3).tobytes()
+        assert got.T.flags.c_contiguous
+
+    def test_peak_memory_is_about_the_output(self):
+        mix = IsotropicGaussianMixture.ring(48, 32)
+        n = 100_000
+        out_bytes = n * 32 * 8
+        assert traced_peak(lambda: sample_base(mix, n, np.random.default_rng(3))) <= 1.25 * out_bytes
+        # Control: the one-shot expression holds its noise and means[idx] at once.
+        assert traced_peak(lambda: one_shot_draw(mix, n, np.random.default_rng(3))) >= 2.0 * out_bytes
+
+
+def chunk_rows(d):
+    """Rows per noise chunk of sample_base: whole tiles of at least the chunk bytes."""
+    tile = targets._TILE_ROWS
+    return tile * -(-targets._SAMPLE_CHUNK_BYTES // (8 * d * tile))
+
+
+class CountingGenerator(np.random.Generator):
+    """A Generator that records the size of each standard_normal call."""
+
+    def __init__(self, bit_generator):
+        super().__init__(bit_generator)
+        self.normal_sizes = []
+
+    def standard_normal(self, size=None, *args, **kwargs):
+        self.normal_sizes.append(kwargs["out"].shape if size is None else size)
+        return super().standard_normal(size, *args, **kwargs)
+
+
+def random_mixture(d):
+    rng = np.random.default_rng(d)
+    w = rng.uniform(0.5, 2.0, 5)
+    return IsotropicGaussianMixture(w / w.sum(), rng.normal(size=(5, d)),
+                                    rng.uniform(0.01, 3.0, 5))
+
+
+def one_shot_draw(mix, n, rng):
+    """sample_base's values as one (n, d) expression."""
+    idx = rng.choice(mix.n_components, size=n, p=mix.weights)
+    noise = rng.standard_normal((n, mix.dim))
+    return mix.means[idx] + np.sqrt(mix.variances[idx])[:, None] * noise
+
+
+def traced_peak(fn):
+    """Peak bytes that tracemalloc sees while fn runs, its result included."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestScoreOracle:
