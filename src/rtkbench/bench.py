@@ -299,7 +299,7 @@ def build_specs(config: ExperimentConfig, schedule, method: str, budget: int):
 
 
 def _unit_context(config: ExperimentConfig, schedule) -> tuple:
-    """(config, schedule, oracle, reference sample) of a run, one per process."""
+    """(config, schedule, oracle, reference sample) of one run_experiment call or pool worker."""
     oracle = ScoreOracle(config.mixture, score_error=config.score_error,
                          energy_error=config.energy_error,
                          error_seed=config.error_seed,
@@ -377,7 +377,7 @@ def _run_unit(unit: tuple[int, str, int, int], context: tuple):
 
 
 def run_experiment(config: ExperimentConfig) -> RunReport:
-    """Run the full method x budget grid, one reference sample per process.
+    """Run the full method x budget grid, drawing its reference sample afresh.
 
     Deterministic for a given config: each unit's RNG comes from
     SeedSequence(master_seed, spawn_key=(method_index, budget_index)), and

@@ -18,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import targets
 from .bench import (
     config_to_text,
     emit_csv,
@@ -34,15 +35,7 @@ from .samplers import (
     uld_noise_covariance,
 )
 from .schedule import FixedSchedule, eta_for, make_target
-from .targets import (
-    _SPARE_WORDS,
-    IsotropicGaussianMixture,
-    ScoreOracle,
-    _hashed_unit_directions,
-    _pcg64_ahead,
-    _pcg64_states,
-    _seed_sequence_state,
-)
+from .targets import IsotropicGaussianMixture, ScoreOracle
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -212,39 +205,54 @@ def _check_determinism() -> None:
         raise AssertionError("repeated run changed CSV rows")
 
 
-def _ziggurat_lanes(seed: int, dim: int) -> set[str]:
-    """The ziggurat lanes that Generator(PCG64(seed)).standard_normal(dim)
-    takes, told apart by PCG64 word counts alone, without numpy's tables.
-
-    A fast draw reads one word and a wedge draw that accepts reads two.  A
-    draw that reads more either went to the tail (the layer, its first
-    word's low byte, is 0) or rejected a wedge candidate and drew again.
-    """
+def _draw_words(seed: int, dim: int) -> list[tuple[int, int]]:
+    """(low byte of its first word, words read) of each draw of
+    Generator(PCG64(seed)).standard_normal(dim), counted on numpy's PCG64."""
     bits, raw = np.random.PCG64(seed), np.random.PCG64(seed)
-    gen = np.random.Generator(bits)
-    lanes = set()
+    gen, draws = np.random.Generator(bits), []
     for _ in range(dim):
-        layer = int(raw.random_raw()) & 0xFF
+        layer, words = int(raw.random_raw()) & 0xFF, 1
         gen.standard_normal()
-        words = 1
         while raw.state != bits.state:
             if words == 64:
                 raise AssertionError(f"a normal draw from PCG64({seed}) ended on no whole word")
             raw.random_raw()
             words += 1
-        lanes.add("fast" if words == 1 else "wedge-accept" if words == 2
-                  else "tail" if layer == 0 else "wedge-reject")
-    return lanes
+        draws.append((layer, words))
+    return draws
+
+
+def _ziggurat_lanes(seed: int, dim: int) -> set[str]:
+    """The ziggurat lanes of Generator(PCG64(seed)).standard_normal(dim),
+    told apart by PCG64 word counts alone, without numpy's tables: a fast
+    draw reads one word, an accepted wedge draw two, and a draw that reads
+    more went to the tail (layer 0) or rejected a wedge candidate."""
+    return {"fast" if words == 1 else "wedge-accept" if words == 2
+            else "tail" if layer == 0 else "wedge-reject"
+            for layer, words in _draw_words(seed, dim)}
+
+
+def _check_seed_sequence(ints: list[int]) -> None:
+    """The batched SeedSequence state of each int, against numpy's own."""
+    for n in ints:
+        words = np.frombuffer(n.to_bytes(16, "little"), dtype="<u4").reshape(1, 4)
+        if not np.array_equal(targets._seed_sequence_state(words)[0],
+                              np.random.SeedSequence(n).generate_state(4, np.uint64)):
+            raise AssertionError(f"SeedSequence({n}) state differs from numpy's")
 
 
 def _check_pcg64_steps(seeds: list[int], k: int) -> None:
     """The lockstep PCG64 states 1..k after each PCG64(seed), against
-    numpy's own PCG64.advance."""
+    numpy's own PCG64.advance.  With k >= 2 equal states also prove the
+    increment equal: it is state 2 - M state 1."""
     words = np.array([np.random.SeedSequence(s).generate_state(4, np.uint64) for s in seeds])
-    hi, lo = _pcg64_ahead(*_pcg64_states(words), k)
+    hi, lo = targets._pcg64_ahead(*targets._pcg64_states(words), k)
     for i, seed in enumerate(seeds):
+        bits = np.random.PCG64(seed)
+        start = bits.state
         for j in range(1, k + 1):
-            want = np.random.PCG64(seed).advance(j).state["state"]["state"]
+            bits.state = start
+            want = bits.advance(j).state["state"]["state"]
             if (int(hi[j - 1, i]) << 64) | int(lo[j - 1, i]) != want:
                 raise AssertionError(f"PCG64 state after advance({j}) differs from "
                                      f"numpy's for seed {seed:#x}")
@@ -254,28 +262,21 @@ def _check_error_field() -> None:
     # The batched seeding re-implements SeedSequence, PCG64's seeding and
     # stepping, and numpy's ziggurat with its tables; a numpy release that
     # changes any of them must fail here.
-    for n in (1, 2**40 + 3, 2**127 + 5):
-        words = np.frombuffer(n.to_bytes(16, "little"), dtype="<u4").reshape(1, 4)
-        if not np.array_equal(_seed_sequence_state(words)[0],
-                              np.random.SeedSequence(n).generate_state(4, np.uint64)):
-            raise AssertionError(f"SeedSequence({n}) state differs from numpy's")
+    _check_seed_sequence([1, 2**40 + 3, 2**127 + 5])
     # Payloads 654 and 952 hold tail draws; the first 40 hold wedge draws
     # that accept and that reject.
     payloads = [i.to_bytes(8, "little") for i in (*range(40), 654, 952)]
-    seeds = {p: int.from_bytes(hashlib.blake2b(p, digest_size=16).digest(), "little")
-             for p in payloads}
+    digests = {p: hashlib.blake2b(p, digest_size=16).digest() for p in payloads}
+    seeds = {p: int.from_bytes(digest, "little") for p, digest in digests.items()}
     for dim in (2, 10):
-        _check_pcg64_steps([seeds[p] for p in payloads[-3:]], dim + _SPARE_WORDS)
-        lanes = set()
+        _check_pcg64_steps([seeds[p] for p in payloads[-3:]], dim + targets._SPARE_WORDS)
         for batch in (payloads, payloads[:1]):
-            for payload, row in zip(batch, _hashed_unit_directions(batch, dim)):
-                seed = seeds[payload]
-                vec = np.random.Generator(np.random.PCG64(seed)).standard_normal(dim)
-                if not np.array_equal(row, vec / np.linalg.norm(vec)):
+            for payload, row in zip(batch, targets._hashed_unit_directions(batch, dim)):
+                if not np.array_equal(row, targets._row_direction(digests[payload], dim)):
                     raise AssertionError(
                         f"error-field direction for payload {payload.hex()} (d={dim}) "
                         "differs from numpy's PCG64(int) path")
-                lanes |= _ziggurat_lanes(seed, dim)
+        lanes = set().union(*(_ziggurat_lanes(seeds[p], dim) for p in payloads))
         missing = {"fast", "wedge-accept", "wedge-reject", "tail"} - lanes
         if missing:
             raise AssertionError(f"error-field batch (d={dim}) took no {sorted(missing)} "

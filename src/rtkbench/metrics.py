@@ -58,7 +58,7 @@ class SortedReference:
     """A reference sample, (n, d), that owns its array and sorts it once.
 
     The first metric call sorts the columns in place (no copy); the array is
-    then read-only.  A run builds one instance per process.
+    then read-only.  run_experiment builds one per call, or per pool worker.
     """
 
     def __init__(self, samples: Array):

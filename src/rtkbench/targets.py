@@ -488,8 +488,8 @@ def _hashed_unit_directions(keys: Sequence[bytes], dim: int, prefix: bytes = b""
 def _cell_direction(payload: bytes, dim: int) -> Array:
     """_row_direction of the payload's digest, read-only and kept.
 
-    The single-cell fast path asks for one direction per query time; the
-    bound holds every query time of the preset grid.
+    A score batch within half a cell of 0 asks for cell 0's direction, one
+    per query time; the bound holds every query time of the preset grid.
     """
     row = _row_direction(_prefixed(payload, 16).digest(), dim)
     row.flags.writeable = False
@@ -508,14 +508,15 @@ class ScoreOracle:
     small cells act like frozen white noise, one huge cell gives a single
     systematic direction per query time, the worst case of the error model.
 
-    The directions of a score batch are derived in one batched pass, and
-    when every row falls in one error cell the cell's direction, kept in a
-    bounded cache, is broadcast; energy-difference rows whose two points
-    share a cell get a zero perturbation without being hashed.  Either way
-    the result is the same as hashing row by row.  A cell with a coordinate
-    beyond int64 (|x / error_cell| >= 2^63, or non-finite) is keyed by its
-    float64 bytes, so distinct far points keep distinct directions.  Every
-    score row is meant to enter through score(), which is where calls are
+    A score batch takes one of two paths.  When every coordinate lies
+    within half a cell of 0, cell 0's direction, kept in a bounded cache,
+    is broadcast; any other batch is derived in one lockstep pass over its
+    rows.  Energy-difference rows whose two points share a cell get a zero
+    perturbation without being hashed.  Either way the result is the same
+    as hashing row by row.  A cell with a coordinate beyond int64
+    (|x / error_cell| >= 2^63, or non-finite) is keyed by its float64
+    bytes, so distinct far points keep distinct directions.  Every score
+    row is meant to enter through score(), which is where calls are
     counted.
     """
 
@@ -574,12 +575,8 @@ class ScoreOracle:
         # x / error_cell within [-1/2, 1/2] rounds half to even to cell 0; NaN fails.
         if x.size and np.abs(x).max() < self.error_cell / 2:
             return self.score_error * _cell_direction(prefix + bytes(8 * self.dim), self.dim)
-        cells = self._cells(x)
-        if cells.shape[0] > 0 and (cells == cells[0]).all():  # NaN rows never match
-            payload = prefix + self._cell_keys(cells[:1])[0]
-            return self.score_error * _cell_direction(payload, self.dim)
-        out = _hashed_unit_directions(self._cell_keys(cells), self.dim, prefix)
-        return self.score_error * out.reshape(np.shape(x)[:-1] + (self.dim,))
+        out = _hashed_unit_directions(self._cell_keys(self._cells(x)), self.dim, prefix)
+        return self.score_error * out.reshape(x.shape)
 
     def score(self, t, x, with_log_density: bool = False):
         """Score query s_(theta,t)(x), within score_error of the exact score.

@@ -329,6 +329,9 @@ PLANTED_DEFECTS = {
     "pcg64-multiplier": (targets, "_PCG_MULT_LIMBS",
                          lambda real: (real[0], real[1] ^ np.uint64(1 << 40)),
                          "error-field", "PCG64 state after advance(1) differs"),
+    "row-direction": (targets, "_row_direction",
+                      lambda real: lambda digest, dim: real(digest, dim) * (1 + 2**-52),
+                      "error-field", "error-field direction for payload 0000000000000000 (d=2)"),
 }
 
 

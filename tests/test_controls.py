@@ -74,6 +74,21 @@ def test_a_sort_at_construction_fails_the_first_call_guard(monkeypatch):
         test_metrics.check_sorted_on_first_call()
 
 
+def test_an_equal_cells_branch_fails_the_cell_zero_guard(monkeypatch):
+    batch_path = targets.ScoreOracle._score_perturbation
+
+    def equal_cells_first(self, t, x):
+        keys = self._cell_keys(self._cells(x))
+        if len(set(keys)) != 1:
+            return batch_path(self, t, x)
+        return self.score_error * targets._cell_direction(self._key_prefix(t) + keys[0], self.dim)
+
+    monkeypatch.setattr(targets.ScoreOracle, "_score_perturbation", equal_cells_first)
+    with pytest.raises(AssertionError, match="a batch outside cell 0 reached the cell cache"):
+        test_targets.TestHashedDirections().test_only_batches_at_cell_zero_reach_the_cell_cache(
+            monkeypatch)
+
+
 def test_a_template_with_a_stray_byte_fails_the_digest_identity(monkeypatch):
     stray = targets._BLAKE2B[16].copy()
     stray.update(b"\x00")

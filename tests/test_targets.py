@@ -538,28 +538,10 @@ def count_per_row_rows(monkeypatch):
     return seen
 
 
-def numpy_draws(seed, dim):
-    """(layer byte of its first word, words read) of each draw of
-    Generator(PCG64(seed)).standard_normal(dim), from numpy's own PCG64.
-
-    A tail draw has layer 0 and reads two more words per try.
-    """
-    bits, raw = np.random.PCG64(seed), np.random.PCG64(seed)
-    gen, draws = np.random.Generator(bits), []
-    for _ in range(dim):
-        layer, words = int(raw.random_raw()) & 0xFF, 1
-        gen.standard_normal()
-        while raw.state != bits.state:
-            raw.random_raw()
-            words += 1
-        draws.append((layer, words))
-    return draws
-
-
 @functools.lru_cache(maxsize=None)
 def tail_rows(dim):
-    """{payload: numpy_draws of its digest} for the rows among 80,000 / dim
-    random payloads that take a tail draw.
+    """{payload: cli._draw_words of its digest} for the rows among
+    80,000 / dim random payloads that take a tail draw.
 
     The search reads each row's first dim words as ziggurat candidates;
     numpy's own words then confirm the tail draws (an earlier wedge draw may
@@ -571,7 +553,7 @@ def tail_rows(dim):
     words = targets._seed_sequence_state(np.frombuffer(b"".join(seeds), "<u4").reshape(-1, 4))
     hi, lo = targets._pcg64_ahead(*targets._pcg64_states(words), dim)
     layer, _, fast = targets._ziggurat_candidates(targets._xsl_rr(hi, lo))
-    found = {payloads[i]: numpy_draws(int.from_bytes(seeds[i], "little"), dim)
+    found = {payloads[i]: cli._draw_words(int.from_bytes(seeds[i], "little"), dim)
              for i in np.flatnonzero(((layer == 0) & ~fast).any(axis=0))}
     return {p: draws for p, draws in found.items()
             if any(layer == 0 and words > 1 for layer, words in draws)}
@@ -662,6 +644,23 @@ class TestHashedDirections:
         monkeypatch.setattr(ScoreOracle, "_cells", keyed)
         np.testing.assert_array_equal(oracle._score_perturbation(0.7, x), want)
 
+    def test_only_batches_at_cell_zero_reach_the_cell_cache(self, monkeypatch):
+        """A 2000-row batch in one nonzero cell, a row in one and a far-cell
+        pair take the lockstep pass, bit-equal to the per-row formula."""
+        asked, real = [], targets._cell_direction
+        monkeypatch.setattr(targets, "_cell_direction",
+                            lambda payload, dim: asked.append(payload[16:]) or real(payload, dim))
+        oracle = ScoreOracle(preset_ring(), score_error=0.3, error_seed=5, error_cell=1e6)
+        x = np.random.default_rng(4).uniform(-4e5, 4e5, size=(2000, 10))
+        for batch in (x + 3e6, x[0] - 3e6, np.full((2, 10), 1e30)):
+            got = oracle._score_perturbation(0.7, batch)
+            assert asked == [], "a batch outside cell 0 reached the cell cache"
+            payload = oracle._key_prefix(0.7) + oracle._cell_keys(oracle._cells(batch))[0]
+            np.testing.assert_array_equal(
+                got, np.broadcast_to(0.3 * reference_direction(payload, 10), batch.shape))
+        oracle._score_perturbation(0.7, x)
+        assert asked == [bytes(80)]
+
     @pytest.mark.parametrize("edge", [5e5, -5e5, np.nan])
     def test_a_row_at_half_a_cell_or_nan_is_keyed(self, edge, monkeypatch):
         oracle = ScoreOracle(preset_ring(), score_error=0.3, error_seed=5, error_cell=1e6)
@@ -669,7 +668,7 @@ class TestHashedDirections:
         x[7, 3] = edge
         keyed, real = [], ScoreOracle._cells
         monkeypatch.setattr(ScoreOracle, "_cells", lambda self, v: keyed.append(1) or real(self, v))
-        got = np.broadcast_to(oracle._score_perturbation(0.7, x), x.shape)
+        got = oracle._score_perturbation(0.7, x)
         assert keyed
         prefix, cells = oracle._key_prefix(0.7), np.round(x / 1e6)
         payloads = [prefix + b"\x01" + (row + 0.0).tobytes() if np.isnan(row).any()
@@ -764,10 +763,7 @@ class TestHashedDirections:
                                    2**96 - 1, 2**96 + 3, 2**128 - 1])
     def test_seed_state_matches_seed_sequence(self, n):
         # SeedSequence(n) drops n's high zero words; zero padding must agree.
-        words = np.frombuffer(n.to_bytes(16, "little"), dtype="<u4").reshape(1, 4)
-        np.testing.assert_array_equal(
-            targets._seed_sequence_state(words)[0],
-            np.random.SeedSequence(n).generate_state(4, np.uint64))
+        cli._check_seed_sequence([n])
 
 
 class TestPcg64Stepping:
@@ -778,24 +774,10 @@ class TestPcg64Stepping:
         every word a row of dimension dim may read."""
         rng = np.random.default_rng(dim * n)
         seeds = [int.from_bytes(rng.bytes(16), "little") for _ in range(n)]
-        words = np.array([np.random.SeedSequence(s).generate_state(4, np.uint64) for s in seeds])
-        hi, lo, inc_hi, inc_lo = targets._pcg64_states(words)
         k = dim + targets._SPARE_WORDS
-        ahead_hi, ahead_lo = targets._pcg64_ahead(hi, lo, inc_hi, inc_lo, k)
-        assert ahead_hi.shape == ahead_lo.shape == (k, n)
-        got = [[(int(h) << 64) | int(l) for h, l in zip(ahead_hi[:, i], ahead_lo[:, i])]
-               for i in range(n)]
-        want = []
-        for i, seed in enumerate(seeds):
-            bits = np.random.PCG64(seed)
-            start = bits.state
-            assert start["state"]["inc"] == (int(inc_hi[i]) << 64) | int(inc_lo[i])
-            states = []
-            for j in range(1, k + 1):
-                bits.state = start
-                states.append(bits.advance(j).state["state"]["state"])
-            want.append(states)
-        assert got == want
+        cli._check_pcg64_steps(seeds, k)
+        limbs = targets._pcg64_states(np.zeros((n, 4), dtype=np.uint64))
+        assert all(part.shape == (k, n) for part in targets._pcg64_ahead(*limbs, k))
 
 
 class TestFarErrorCells:
@@ -816,14 +798,15 @@ class TestFarErrorCells:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             noise = oracle._score_perturbation(0.5, x)
-            # one far cell or one NaN row: the single-cell path
+            # one far cell or one NaN row: the batch path
             single = [oracle._score_perturbation(0.5, x[[0, 2]]),
                       oracle._score_perturbation(0.5, x[3])]
         assert np.allclose(np.linalg.norm(noise, axis=1), 1.0)
-        np.testing.assert_array_equal(noise[0], noise[2])  # one cell, one direction
+        far = oracle._key_prefix(0.5) + b"\x01" + np.round(x[0] / 1e-6).tobytes()
+        np.testing.assert_array_equal(noise[[0, 2]], [reference_direction(far, 3)] * 2)
         assert not np.allclose(noise[0], noise[1])
         assert not np.allclose(noise[0], noise[3]) and not np.allclose(noise[3], noise[4])
-        np.testing.assert_array_equal(single[0], noise[0])  # broadcast over the batch
+        np.testing.assert_array_equal(single[0], noise[[0, 2]])  # one cell, one direction
         np.testing.assert_array_equal(single[1], noise[3])
         # the in-range row is untouched by the far rows in its batch
         np.testing.assert_array_equal(noise[5], oracle._score_perturbation(0.5, x[5]))
