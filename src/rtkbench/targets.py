@@ -52,6 +52,12 @@ def _time_value(t) -> float:
     return t
 
 
+def _shared_column(c: Array) -> Array:
+    """c as a (K, 1) column, or as (1, 1) when its K entries have the same bits."""
+    bits = c.view(np.uint64)
+    return c[:1, None] if (bits == bits[0]).all() else c[:, None]
+
+
 @dataclass(frozen=True)
 class IsotropicGaussianMixture:
     """Mixture of isotropic Gaussians sum_k w_k N(mu_k, s2_k I)."""
@@ -110,11 +116,14 @@ class IsotropicGaussianMixture:
         return cls(np.full(n_components, 1.0 / n_components), means,
                    np.full(n_components, variance))
 
-    def _time_constants(self, t: float) -> tuple[Array, ...]:
-        """(A, bias, 0.5 / v, 1 / v) at time t, kept for the last query time only.
+    def _time_constants(self, t: float) -> tuple:
+        """(A, support, bias, 0.5 / v, 1 / v) at time t, kept for the last query time only.
 
         log w_k N(x; mu_k, v_k I) = A_k x + bias_k - ||x||^2 / (2 v_k) for the
         diffused means mu and variances v, so A = mu / v and bias holds the rest.
+        A is stored on its support only: the coordinates where some mean is
+        not +0.0, a slice when they form one range (the ring's 0:2).  bias
+        and 0.5 / v are (K, 1) columns, or (1, 1) when all K entries are equal.
         """
         last, found = self._constants
         if last == t:
@@ -125,7 +134,13 @@ class IsotropicGaussianMixture:
         half = 0.5 / var
         bias = (np.log(self.weights) - 0.5 * self.dim * np.log(2.0 * np.pi * var)
                 - half * np.einsum("kd,kd->k", means, means))
-        found = tuple(_readonly(c) for c in (means / var[:, None], bias, half, 1.0 / var))
+        cols = np.flatnonzero(self.means.view(np.uint64).any(axis=0))
+        cols.flags.writeable = False
+        lo = int(cols[0]) if cols.size else 0
+        contiguous = np.array_equal(cols, np.arange(lo, lo + cols.size))
+        support = slice(lo, lo + cols.size) if contiguous else cols
+        found = (_readonly(means[:, support] / var[:, None]), support,
+                 *(_readonly(_shared_column(c)) for c in (bias, half)), _readonly(1.0 / var))
         object.__setattr__(self, "_constants", (t, found))
         return found
 
@@ -150,17 +165,25 @@ def _mixture_pass(mix: IsotropicGaussianMixture, t, x, with_score: bool):
     """(score or None, log p_t(x)) at points x of shape (..., d), in one pass.
 
     The log-component matrix is (K, n), so the reductions over components
-    run elementwise across contiguous rows.
+    run elementwise across contiguous rows.  Two shortcuts skip redundant
+    work.  The GEMMs run over the means' support only: a dropped term is a
+    product with an exact +0 of A, and a score column off the support is
+    +0.  A bias or ||x||^2 / (2 v) term that all components share is one
+    row, broadcast: it holds the same products as each row it replaces.
+    With OpenBLAS the result is bit-equal to the full-width GEMMs when the
+    row count is a multiple of 8, as every shipped batch is.  Other row
+    counts may differ in the last bits, because BLAS edge kernels sum in
+    an order that depends on the GEMM's width.
     """
     x = np.asarray(x, dtype=np.float64)
     d = mix.dim
     if x.shape[-1] != d:
         raise ValueError(f"points have dim {x.shape[-1]}, mixture has dim {d}")
-    a, bias, half, inv = mix._time_constants(_time_value(t))
+    a, s, bias, half, inv = mix._time_constants(_time_value(t))
     flat = x.reshape(-1, d)
-    comp = a @ flat.T                                             # (K, n)
-    comp += bias[:, None]
-    comp -= half[:, None] * np.einsum("ij,ij->i", flat, flat)
+    comp = a @ flat[:, s].T                                       # (K, n)
+    comp += bias
+    comp -= half * np.einsum("ij,ij->i", flat, flat)
     top = comp.max(axis=0)
     comp -= top
     np.exp(comp, out=comp)
@@ -169,7 +192,8 @@ def _mixture_pass(mix: IsotropicGaussianMixture, t, x, with_score: bool):
     logp = float(logp[0]) if x.ndim == 1 else logp.reshape(x.shape[:-1])
     if not with_score:
         return None, logp
-    out = comp.T @ a  # sum_k resp_k (mu_k - x) / v_k with resp = comp / total
+    out = np.zeros_like(flat)
+    out[:, s] = comp.T @ a  # sum_k resp_k (mu_k - x) / v_k with resp = comp / total
     out -= (inv @ comp)[:, None] * flat
     out /= total[:, None]
     return out.reshape(x.shape), logp
@@ -232,41 +256,48 @@ _SPARE_WORDS = 4
 _WEDGE_MARGIN = 2.0**-48
 
 
+def _hash_constants(init: int, mult: int, count: int) -> Array:
+    """The count + 1 successive values of a SeedSequence hash constant, as a
+    (count + 1, 1) uint32 column: call j xors with row j and multiplies by row j + 1."""
+    values = [init]
+    for _ in range(count):
+        values.append(values[-1] * mult & _U32)
+    return np.array(values, dtype=np.uint32)[:, None]
+
+
+# hash_a over the 4 entropy hashmixes, then 3 per pool word; hash_b over the 8 output words.
+_SS_HASH_A = _hash_constants(_SS_INIT_A, _SS_MULT_A, 16)
+_SS_HASH_B = _hash_constants(_SS_INIT_B, _SS_MULT_B, 8)
+_SS_OTHERS = tuple([dst for dst in range(4) if dst != src] for src in range(4))
+
+
 def _seed_sequence_state(entropy: Array) -> Array:
     """SeedSequence(n).generate_state(4, np.uint64) for many ints n at once.
 
     entropy is (m, 4) uint32, the little-endian words of each n.  An int
     drops its high zero words, and SeedSequence fills the rest of its
     4-word pool by hashing zeros, so zero words give the same pool.
-    Returns (m, 4) uint64.
+    The pool is (4, m), one contiguous row per word: each source word's
+    three hashmixes, and the 8 output words, are one call over stacked
+    rows with one hash constant per row.  Returns (m, 4) uint64.
     """
-    entropy = np.asarray(entropy, dtype=np.uint32)
-    hash_a = _SS_INIT_A
+    def hashmix(v, j, k):  # hashmix calls j..j + k - 1, one per row, of v broadcast to k rows
+        v = v ^ _SS_HASH_A[j:j + k]
+        v *= _SS_HASH_A[j + 1:j + 1 + k]
+        v ^= v >> np.uint32(16)
+        return v
 
-    def hashmix(v):
-        nonlocal hash_a
-        v = v ^ np.uint32(hash_a)
-        hash_a = (hash_a * _SS_MULT_A) & _U32
-        v = v * np.uint32(hash_a)
-        return v ^ (v >> np.uint32(16))
-
-    def mix(x, y):
-        r = np.uint32(_SS_MIX_L) * x - np.uint32(_SS_MIX_R) * y
-        return r ^ (r >> np.uint32(16))
-
-    pool = [hashmix(entropy[:, i]) for i in range(4)]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    words = np.empty((entropy.shape[0], 8), dtype="<u4")
-    hash_b = _SS_INIT_B
-    for i in range(8):
-        v = pool[i % 4] ^ np.uint32(hash_b)
-        hash_b = (hash_b * _SS_MULT_B) & _U32
-        v = v * np.uint32(hash_b)
-        words[:, i] = v ^ (v >> np.uint32(16))
-    return words.view("<u8").astype(np.uint64)
+    pool = hashmix(np.ascontiguousarray(np.asarray(entropy, dtype=np.uint32).T), 0, 4)
+    for src, dst in enumerate(_SS_OTHERS):
+        mixed = np.uint32(_SS_MIX_L) * pool[dst]
+        mixed -= np.uint32(_SS_MIX_R) * hashmix(pool[src], 4 + 3 * src, 3)
+        mixed ^= mixed >> np.uint32(16)
+        pool[dst] = mixed
+    words = np.tile(pool, (2, 1))
+    words ^= _SS_HASH_B[:-1]
+    words *= _SS_HASH_B[1:]
+    words ^= words >> np.uint32(16)
+    return np.ascontiguousarray(words.T, dtype="<u4").view("<u8").astype(np.uint64, copy=False)
 
 
 def _mul128(ah, al, bh, bl):
@@ -511,7 +542,7 @@ class ScoreOracle:
     A score batch takes one of two paths.  When every coordinate lies
     within half a cell of 0, cell 0's direction, kept in a bounded cache,
     is broadcast; any other batch is derived in one lockstep pass over its
-    rows.  Energy-difference rows whose two points share a cell get a zero
+    distinct cells.  Energy-difference rows whose two points share a cell get a zero
     perturbation without being hashed.  Either way the result is the same
     as hashing row by row.  A cell with a coordinate beyond int64
     (|x / error_cell| >= 2^63, or non-finite) is keyed by its float64
@@ -575,7 +606,13 @@ class ScoreOracle:
         # x / error_cell within [-1/2, 1/2] rounds half to even to cell 0; NaN fails.
         if x.size and np.abs(x).max() < self.error_cell / 2:
             return self.score_error * _cell_direction(prefix + bytes(8 * self.dim), self.dim)
-        out = _hashed_unit_directions(self._cell_keys(self._cells(x)), self.dim, prefix)
+        keys = self._cell_keys(self._cells(x))
+        if len(set(keys)) < len(keys):  # each distinct cell is hashed once
+            row = {}
+            first = [row.setdefault(key, len(row)) for key in keys]
+            out = _hashed_unit_directions(list(row), self.dim, prefix)[first]
+        else:
+            out = _hashed_unit_directions(keys, self.dim, prefix)
         return self.score_error * out.reshape(x.shape)
 
     def score(self, t, x, with_log_density: bool = False):

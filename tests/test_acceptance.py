@@ -232,11 +232,13 @@ def test_a7_mode_coverage(preset_report):
           f"{int(ddpm_out_of_band.sum())}/12 modes outside [0.04, 0.13])")
 
 
-def test_a8_determinism_and_nfe_accounting(preset_report, tmp_path):
-    """Same preset twice -> byte-identical CSV; realized NFE never over budget."""
+def test_a8_determinism_and_nfe_accounting(preset_report, tmp_path, monkeypatch):
+    """Same preset twice, serially and on a 2-worker pool -> byte-identical
+    CSVs; realized NFE never over budget."""
     from rtkbench.bench import emit_csv
 
     report, _ = preset_report
+    monkeypatch.setenv("RTKBENCH_WORKERS", "2")
     start = time.perf_counter()
     again = run_experiment(paper_preset())
     elapsed = time.perf_counter() - start
@@ -247,7 +249,7 @@ def test_a8_determinism_and_nfe_accounting(preset_report, tmp_path):
     for row, (method, budget) in zip(report.rows, grid):
         assert row.nfe <= budget, f"{method}@{budget} overspent: {row.nfe}"
     print(f"acceptance 8 (determinism and NFE): PASS (identical {len(first)}-byte "
-          f"CSVs; all {len(grid)} units within budget; repeat run {elapsed:.0f}s)")
+          f"CSVs; all {len(grid)} units within budget; 2-worker repeat run {elapsed:.0f}s)")
 
 
 GOLDEN_CSV = Path(__file__).parent / "data" / "preset_golden.csv"

@@ -322,7 +322,9 @@ PLANTED_DEFECTS = {
                          lambda real: lambda *args, **kw: (real(*args, **kw)[0] + 1e-6,
                                                           real(*args, **kw)[1]),
                          "taylor-estimator", "taylor estimator error"),
-    "error-field": (targets, "_SS_MULT_A", lambda real: real ^ 1,
+    "error-field": (targets, "_SS_HASH_A",  # hash_a's constants under a wrong multiplier
+                    lambda real: targets._hash_constants(targets._SS_INIT_A, targets._SS_MULT_A ^ 1,
+                                                         len(real) - 1),
                     "error-field", "SeedSequence(1) state differs from numpy's"),
     "ziggurat-table": (targets, "_ZIG_KI", _zero_ki_of_first_draw, "error-field",
                        "error-field direction for payload 0000000000000000 (d=2)"),

@@ -306,6 +306,135 @@ class TestKernel:
         assert mix._constants[1] is want  # a repeated time reuses the slot
 
 
+def full_width_pass(mix, t, x):
+    """(score, log p_t(x)) by the pass without the support and shared-row
+    shortcuts, written out: full (K, d) GEMMs and (K, 1) columns."""
+    x = np.asarray(x, dtype=np.float64)
+    decay = math.exp(-t)
+    means = mix.means * decay
+    var = mix.variances * decay * decay + (1.0 - decay * decay)
+    half = 0.5 / var
+    bias = (np.log(mix.weights) - 0.5 * mix.dim * np.log(2.0 * np.pi * var)
+            - half * np.einsum("kd,kd->k", means, means))
+    a, inv = means / var[:, None], 1.0 / var
+    flat = x.reshape(-1, mix.dim)
+    comp = a @ flat.T
+    comp += bias[:, None]
+    comp -= half[:, None] * np.einsum("ij,ij->i", flat, flat)
+    top = comp.max(axis=0)
+    comp -= top
+    np.exp(comp, out=comp)
+    total = comp.sum(axis=0)
+    logp = top + np.log(total)
+    logp = float(logp[0]) if x.ndim == 1 else logp.reshape(x.shape[:-1])
+    out = comp.T @ a
+    out -= (inv @ comp)[:, None] * flat
+    out /= total[:, None]
+    return out.reshape(x.shape), logp
+
+
+def scattered_mixture():
+    """Six components in d = 8 whose means are all zero in coordinate 3,
+    with unequal weights and a shared variance."""
+    means = np.random.default_rng(31).standard_normal((6, 8))
+    means[:, 3] = 0.0
+    weights = np.arange(1.0, 7.0) / 21.0
+    return IsotropicGaussianMixture(weights, means, np.full(6, 0.2))
+
+
+def dense_mixture():
+    """Five components in d = 7, every coordinate used, unequal weights and
+    variances."""
+    rng = np.random.default_rng(32)
+    weights = np.array([0.1, 0.3, 0.2, 0.25, 0.15])
+    return IsotropicGaussianMixture(weights, rng.standard_normal((5, 7)), rng.uniform(0.05, 0.5, 5))
+
+
+class TestMixturePassShortcuts:
+    """The pass against the full-width pass, bit for bit on 2000-row batches.
+
+    With OpenBLAS, row counts that are a multiple of 8 match bit for bit.
+    A remainder row may take an edge kernel whose summation order depends
+    on the GEMM's width, so a single point and 999 rows are compared to
+    rounding only, within 1e-14 of the largest entry.
+    """
+
+    CASES = {
+        "ring": (preset_ring, slice(0, 2)),
+        "wide ring": (lambda: IsotropicGaussianMixture.ring(48, 32), slice(0, 2)),
+        "scattered": (scattered_mixture, [0, 1, 2, 4, 5, 6, 7]),
+        "dense": (dense_mixture, slice(0, 7)),
+        "standard normal": (lambda: IsotropicGaussianMixture.standard_normal(6), slice(0, 0)),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    @pytest.mark.parametrize("t", [0.0, 0.3, 2.0])
+    def test_bit_equal_to_the_full_width_pass(self, case, t):
+        make, support = self.CASES[case]
+        mix = make()
+        x = 1.5 * np.random.default_rng(33).standard_normal((2000, mix.dim))
+        x[:5] = 0.0
+        got, logp = score(mix, t, x, with_log_density=True)
+        want, want_logp = full_width_pass(mix, t, x)
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(logp, want_logp)
+        np.testing.assert_array_equal(log_density(mix, t, x), want_logp)
+        a, s = mix._time_constants(t)[:2]
+        if isinstance(support, slice):
+            assert s == support
+        else:
+            np.testing.assert_array_equal(s, support)
+        assert a.shape == (mix.n_components, np.arange(mix.dim)[support].size)
+
+    def test_shared_rows_of_the_ring(self):
+        """The ring shares 0.5 / v at every time, and its bias once t > 0;
+        unequal weights or variances keep (K, 1) columns."""
+        ring = preset_ring()
+        assert [c.shape for c in ring._time_constants(0.0)[2:4]] == [(12, 1), (1, 1)]
+        assert [c.shape for c in ring._time_constants(0.3)[2:4]] == [(1, 1), (1, 1)]
+        assert [c.shape for c in scattered_mixture()._time_constants(0.3)[2:4]] == [(6, 1), (1, 1)]
+        assert [c.shape for c in dense_mixture()._time_constants(0.3)[2:4]] == [(5, 1), (5, 1)]
+        for c in ring._time_constants(0.3) + scattered_mixture()._time_constants(0.3):
+            assert not isinstance(c, np.ndarray) or not c.flags.writeable
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_single_point_and_odd_row_counts(self, case):
+        mix = self.CASES[case][0]()
+        x = 1.5 * np.random.default_rng(34).standard_normal((999, mix.dim))
+        got, logp = score(mix, 0.3, x[0], with_log_density=True)
+        batch, batch_logp = score(mix, 0.3, x[:1], with_log_density=True)
+        assert got.shape == (mix.dim,) and isinstance(logp, float)
+        np.testing.assert_array_equal(got, batch[0])
+        assert logp == batch_logp[0] == log_density(mix, 0.3, x[0])
+        for rows in (x[0], x):
+            got, logp = score(mix, 0.3, rows, with_log_density=True)
+            want, want_logp = full_width_pass(mix, 0.3, rows)
+            scale = np.abs(want).max()
+            np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-14 * scale)
+            np.testing.assert_allclose(logp, want_logp, rtol=1e-14)
+
+    def test_empty_batch(self):
+        for make, _ in self.CASES.values():
+            mix = make()
+            got, logp = score(mix, 0.3, np.empty((0, mix.dim)), with_log_density=True)
+            assert got.shape == (0, mix.dim) and logp.shape == (0,)
+
+    @pytest.mark.parametrize("case", ["ring", "scattered"])
+    def test_non_finite_coordinates_off_the_support_give_nan(self, case):
+        """inf or NaN where every mean is zero still poisons the whole row,
+        now through ||x||^2 instead of the GEMM."""
+        mix = self.CASES[case][0]()
+        x = np.random.default_rng(35).standard_normal((2000, mix.dim))
+        x[0, 3], x[1, 3], x[2, 3] = np.inf, -np.inf, np.nan
+        with np.errstate(invalid="ignore"):
+            got, logp = score(mix, 0.3, x, with_log_density=True)
+            want, want_logp = full_width_pass(mix, 0.3, x)
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(logp, want_logp)
+        assert np.isnan(got[:3]).all() and np.isnan(logp[:3]).all()
+        assert np.isfinite(got[3:]).all() and np.isfinite(logp[3:]).all()
+
+
 class TestSampleBase:
     def test_moments(self):
         mix = preset_ring()
@@ -660,6 +789,27 @@ class TestHashedDirections:
                 got, np.broadcast_to(0.3 * reference_direction(payload, 10), batch.shape))
         oracle._score_perturbation(0.7, x)
         assert asked == [bytes(80)]
+
+    def test_each_distinct_cell_is_hashed_once(self, monkeypatch):
+        """A 2000-row batch in cell 3 hashes one key, and each row is the
+        per-row formula's direction; a batch with repeated cells hashes each
+        distinct cell once, in first-seen order."""
+        hashed, real = [], targets._hashed_unit_directions
+        monkeypatch.setattr(targets, "_hashed_unit_directions",
+                            lambda keys, dim, prefix=b"": hashed.append(keys) or real(keys, dim, prefix))
+        oracle = ScoreOracle(preset_ring(), score_error=0.3, error_seed=5, error_cell=1e6)
+        prefix = oracle._key_prefix(0.7)
+        x = np.random.default_rng(4).uniform(-4e5, 4e5, size=(2000, 10)) + 3e6
+        got = oracle._score_perturbation(0.7, x)
+        assert hashed == [cell_payloads([[3] * 10], b"")]
+        want = 0.3 * reference_direction(cell_payloads([[3] * 10], prefix)[0], 10)
+        np.testing.assert_array_equal(got, np.broadcast_to(want, x.shape))
+        cells = [[3] * 10, [-3] * 10, [3] * 10, [5] * 10, [-3] * 10, [3] * 10]
+        hashed.clear()
+        got = oracle._score_perturbation(0.7, np.array(cells) * 1e6)
+        assert hashed == [cell_payloads([cells[0], cells[1], cells[3]], b"")]
+        want = [0.3 * reference_direction(p, 10) for p in cell_payloads(cells, prefix)]
+        np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("edge", [5e5, -5e5, np.nan])
     def test_a_row_at_half_a_cell_or_nan_is_keyed(self, edge, monkeypatch):
