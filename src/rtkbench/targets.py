@@ -54,8 +54,7 @@ def _time_value(t) -> float:
 
 def _shared_column(c: Array) -> Array:
     """c as a (K, 1) column, or as (1, 1) when its K entries have the same bits."""
-    bits = c.view(np.uint64)
-    return c[:1, None] if (bits == bits[0]).all() else c[:, None]
+    return c[:1, None] if c.tobytes() == c[:1].tobytes() * c.size else c[:, None]
 
 
 @dataclass(frozen=True)
@@ -66,6 +65,7 @@ class IsotropicGaussianMixture:
     means: Array      # (K, d)
     variances: Array  # (K,)
     _constants: tuple = field(default=(None, None), init=False, repr=False, compare=False)
+    _support: slice = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         w = _readonly(self.weights)
@@ -84,6 +84,10 @@ class IsotropicGaussianMixture:
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "means", m)
         object.__setattr__(self, "variances", v)
+        # The coordinates from the first to the last where some mean is not +0.0.
+        cols = np.flatnonzero(m.view(np.uint64).any(axis=0))
+        object.__setattr__(self, "_support",
+                           slice(int(cols[0]), int(cols[-1]) + 1) if cols.size else slice(0, 0))
 
     def __reduce__(self):
         """Unpickle through __post_init__: checks re-run, arrays read-only, slot empty."""
@@ -121,9 +125,9 @@ class IsotropicGaussianMixture:
 
         log w_k N(x; mu_k, v_k I) = A_k x + bias_k - ||x||^2 / (2 v_k) for the
         diffused means mu and variances v, so A = mu / v and bias holds the rest.
-        A is stored on its support only: the coordinates where some mean is
-        not +0.0, a slice when they form one range (the ring's 0:2).  bias
-        and 0.5 / v are (K, 1) columns, or (1, 1) when all K entries are equal.
+        A is stored on the support slice only: the coordinates from the first
+        to the last where some mean is not +0.0 (the ring's 0:2).  bias and
+        0.5 / v are (K, 1) columns, or (1, 1) when all K entries are equal.
         """
         last, found = self._constants
         if last == t:
@@ -134,12 +138,7 @@ class IsotropicGaussianMixture:
         half = 0.5 / var
         bias = (np.log(self.weights) - 0.5 * self.dim * np.log(2.0 * np.pi * var)
                 - half * np.einsum("kd,kd->k", means, means))
-        cols = np.flatnonzero(self.means.view(np.uint64).any(axis=0))
-        cols.flags.writeable = False
-        lo = int(cols[0]) if cols.size else 0
-        contiguous = np.array_equal(cols, np.arange(lo, lo + cols.size))
-        support = slice(lo, lo + cols.size) if contiguous else cols
-        found = (_readonly(means[:, support] / var[:, None]), support,
+        found = (_readonly(means[:, self._support] / var[:, None]), self._support,
                  *(_readonly(_shared_column(c)) for c in (bias, half)), _readonly(1.0 / var))
         object.__setattr__(self, "_constants", (t, found))
         return found
@@ -166,14 +165,16 @@ def _mixture_pass(mix: IsotropicGaussianMixture, t, x, with_score: bool):
 
     The log-component matrix is (K, n), so the reductions over components
     run elementwise across contiguous rows.  Two shortcuts skip redundant
-    work.  The GEMMs run over the means' support only: a dropped term is a
-    product with an exact +0 of A, and a score column off the support is
-    +0.  A bias or ||x||^2 / (2 v) term that all components share is one
+    work.  The GEMMs run over the means' support slice only: a dropped term
+    is a product with an exact +0 of A, and a score column off the support
+    is +0.  A bias or ||x||^2 / (2 v) term that all components share is one
     row, broadcast: it holds the same products as each row it replaces.
-    With OpenBLAS the result is bit-equal to the full-width GEMMs when the
-    row count is a multiple of 8, as every shipped batch is.  Other row
-    counts may differ in the last bits, because BLAS edge kernels sum in
-    an order that depends on the GEMM's width.
+    The sum of the kept terms is left to BLAS, whose order may depend on
+    the GEMM's width, so the pass is not bit-equal to the full-width one
+    in general.  On the OpenBLAS x86 kernels tried (SkylakeX, Haswell,
+    Prescott) it was bit-equal on row counts that are a multiple of 8, as
+    every batch of the shipped configs is, and differed in the last bits
+    on some other row counts and on a single point.
     """
     x = np.asarray(x, dtype=np.float64)
     d = mix.dim
@@ -192,8 +193,8 @@ def _mixture_pass(mix: IsotropicGaussianMixture, t, x, with_score: bool):
     logp = float(logp[0]) if x.ndim == 1 else logp.reshape(x.shape[:-1])
     if not with_score:
         return None, logp
-    out = np.zeros_like(flat)
-    out[:, s] = comp.T @ a  # sum_k resp_k (mu_k - x) / v_k with resp = comp / total
+    out = (np.empty_like if a.shape[1] == d else np.zeros_like)(flat)  # +0 off the support
+    np.matmul(comp.T, a, out=out[:, s])  # sum_k resp_k (mu_k - x) / v_k with resp = comp / total
     out -= (inv @ comp)[:, None] * flat
     out /= total[:, None]
     return out.reshape(x.shape), logp
@@ -542,7 +543,7 @@ class ScoreOracle:
     A score batch takes one of two paths.  When every coordinate lies
     within half a cell of 0, cell 0's direction, kept in a bounded cache,
     is broadcast; any other batch is derived in one lockstep pass over its
-    distinct cells.  Energy-difference rows whose two points share a cell get a zero
+    rows.  Energy-difference rows whose two points share a cell get a zero
     perturbation without being hashed.  Either way the result is the same
     as hashing row by row.  A cell with a coordinate beyond int64
     (|x / error_cell| >= 2^63, or non-finite) is keyed by its float64
@@ -606,13 +607,7 @@ class ScoreOracle:
         # x / error_cell within [-1/2, 1/2] rounds half to even to cell 0; NaN fails.
         if x.size and np.abs(x).max() < self.error_cell / 2:
             return self.score_error * _cell_direction(prefix + bytes(8 * self.dim), self.dim)
-        keys = self._cell_keys(self._cells(x))
-        if len(set(keys)) < len(keys):  # each distinct cell is hashed once
-            row = {}
-            first = [row.setdefault(key, len(row)) for key in keys]
-            out = _hashed_unit_directions(list(row), self.dim, prefix)[first]
-        else:
-            out = _hashed_unit_directions(keys, self.dim, prefix)
+        out = _hashed_unit_directions(self._cell_keys(self._cells(x)), self.dim, prefix)
         return self.score_error * out.reshape(x.shape)
 
     def score(self, t, x, with_log_density: bool = False):

@@ -334,10 +334,11 @@ def full_width_pass(mix, t, x):
 
 
 def scattered_mixture():
-    """Six components in d = 8 whose means are all zero in coordinate 3,
-    with unequal weights and a shared variance."""
+    """Six components in d = 8 whose means are all zero in coordinates 0
+    and 3, with unequal weights and a shared variance: the support slice
+    is 1:8, with coordinate 3 inside it."""
     means = np.random.default_rng(31).standard_normal((6, 8))
-    means[:, 3] = 0.0
+    means[:, [0, 3]] = 0.0
     weights = np.arange(1.0, 7.0) / 21.0
     return IsotropicGaussianMixture(weights, means, np.full(6, 0.2))
 
@@ -353,8 +354,10 @@ def dense_mixture():
 class TestMixturePassShortcuts:
     """The pass against the full-width pass, bit for bit on 2000-row batches.
 
-    With OpenBLAS, row counts that are a multiple of 8 match bit for bit.
-    A remainder row may take an edge kernel whose summation order depends
+    Bit equality on row counts that are a multiple of 8, like every batch
+    of the shipped configs, was observed on OpenBLAS's x86 kernels; it is
+    not a property of the pass, and other BLAS builds may break it.  A
+    remainder row may take an edge kernel whose summation order depends
     on the GEMM's width, so a single point and 999 rows are compared to
     rounding only, within 1e-14 of the largest entry.
     """
@@ -362,7 +365,7 @@ class TestMixturePassShortcuts:
     CASES = {
         "ring": (preset_ring, slice(0, 2)),
         "wide ring": (lambda: IsotropicGaussianMixture.ring(48, 32), slice(0, 2)),
-        "scattered": (scattered_mixture, [0, 1, 2, 4, 5, 6, 7]),
+        "scattered": (scattered_mixture, slice(1, 8)),
         "dense": (dense_mixture, slice(0, 7)),
         "standard normal": (lambda: IsotropicGaussianMixture.standard_normal(6), slice(0, 0)),
     }
@@ -380,11 +383,8 @@ class TestMixturePassShortcuts:
         np.testing.assert_array_equal(logp, want_logp)
         np.testing.assert_array_equal(log_density(mix, t, x), want_logp)
         a, s = mix._time_constants(t)[:2]
-        if isinstance(support, slice):
-            assert s == support
-        else:
-            np.testing.assert_array_equal(s, support)
-        assert a.shape == (mix.n_components, np.arange(mix.dim)[support].size)
+        assert s == support
+        assert a.shape == (mix.n_components, support.stop - support.start)
 
     def test_shared_rows_of_the_ring(self):
         """The ring shares 0.5 / v at every time, and its bias once t > 0;
@@ -419,13 +419,13 @@ class TestMixturePassShortcuts:
             got, logp = score(mix, 0.3, np.empty((0, mix.dim)), with_log_density=True)
             assert got.shape == (0, mix.dim) and logp.shape == (0,)
 
-    @pytest.mark.parametrize("case", ["ring", "scattered"])
-    def test_non_finite_coordinates_off_the_support_give_nan(self, case):
+    @pytest.mark.parametrize("case, col", [("ring", 3), ("scattered", 0)])
+    def test_non_finite_coordinates_off_the_support_give_nan(self, case, col):
         """inf or NaN where every mean is zero still poisons the whole row,
         now through ||x||^2 instead of the GEMM."""
         mix = self.CASES[case][0]()
         x = np.random.default_rng(35).standard_normal((2000, mix.dim))
-        x[0, 3], x[1, 3], x[2, 3] = np.inf, -np.inf, np.nan
+        x[0, col], x[1, col], x[2, col] = np.inf, -np.inf, np.nan
         with np.errstate(invalid="ignore"):
             got, logp = score(mix, 0.3, x, with_log_density=True)
             want, want_logp = full_width_pass(mix, 0.3, x)
@@ -789,27 +789,6 @@ class TestHashedDirections:
                 got, np.broadcast_to(0.3 * reference_direction(payload, 10), batch.shape))
         oracle._score_perturbation(0.7, x)
         assert asked == [bytes(80)]
-
-    def test_each_distinct_cell_is_hashed_once(self, monkeypatch):
-        """A 2000-row batch in cell 3 hashes one key, and each row is the
-        per-row formula's direction; a batch with repeated cells hashes each
-        distinct cell once, in first-seen order."""
-        hashed, real = [], targets._hashed_unit_directions
-        monkeypatch.setattr(targets, "_hashed_unit_directions",
-                            lambda keys, dim, prefix=b"": hashed.append(keys) or real(keys, dim, prefix))
-        oracle = ScoreOracle(preset_ring(), score_error=0.3, error_seed=5, error_cell=1e6)
-        prefix = oracle._key_prefix(0.7)
-        x = np.random.default_rng(4).uniform(-4e5, 4e5, size=(2000, 10)) + 3e6
-        got = oracle._score_perturbation(0.7, x)
-        assert hashed == [cell_payloads([[3] * 10], b"")]
-        want = 0.3 * reference_direction(cell_payloads([[3] * 10], prefix)[0], 10)
-        np.testing.assert_array_equal(got, np.broadcast_to(want, x.shape))
-        cells = [[3] * 10, [-3] * 10, [3] * 10, [5] * 10, [-3] * 10, [3] * 10]
-        hashed.clear()
-        got = oracle._score_perturbation(0.7, np.array(cells) * 1e6)
-        assert hashed == [cell_payloads([cells[0], cells[1], cells[3]], b"")]
-        want = [0.3 * reference_direction(p, 10) for p in cell_payloads(cells, prefix)]
-        np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("edge", [5e5, -5e5, np.nan])
     def test_a_row_at_half_a_cell_or_nan_is_keyed(self, edge, monkeypatch):
