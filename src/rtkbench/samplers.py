@@ -9,14 +9,17 @@ one unit per score query, zero for analytic energy differences, and
 
 from __future__ import annotations
 
+import collections
+import contextlib
 import functools
 import itertools
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .schedule import RtkTarget, mala_init, uld_init
+from .schedule import RtkTarget, Segment, mala_init, uld_init
 from .targets import ScoreOracle
 
 Array = np.ndarray
@@ -44,23 +47,35 @@ __all__ = [
 # catastrophically in float64; switch to its series.
 _ULD_SERIES_CUTOFF = 1e-3
 
-# A loop whose largest draw is smaller draws inline: below this a handoff to
+# A plan whose largest draw is smaller draws inline: below this a handoff to
 # the helper (~40 us) costs more than it saves.  Pool workers set it to inf.
 _AHEAD_MIN_SIZE = 4096
 
 
-class _DrawAhead:
-    """state.rng for one inner loop: its planned draws, made ahead in order.
+def _usable_cores() -> int:
+    """Cores this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
-    plan lists them as (method, size).  One helper thread, the only one to
-    touch the Generator, makes them at most two ahead while numpy fills them
-    without the GIL.  A request other than the next planned draw raises.
+
+class _DrawAhead:
+    """state.rng for one unit, or one inner loop run alone: its planned draws, made ahead.
+
+    plan lists tasks in draw order, each a tuple of (method, size) draws: a
+    unit's prior, each segment's initialization and each step.  One helper
+    thread, the only one to touch the Generator, makes them a task at a
+    time, at most two tasks ahead, while numpy fills them without the GIL.
+    A request other than the next planned draw raises.  With no draw of
+    _AHEAD_MIN_SIZE elements, or one usable core, the draws are made inline.
     """
 
     def __init__(self, state: "ChainState", plan: list):
-        self._state, self._rng, self._plan, self._ahead = state, state.rng, iter(plan), []
+        self._state, self._rng, self._plan = state, state.rng, iter(plan)
+        self._ahead, self._task = collections.deque(), collections.deque()
         self._pool = None
-        if max((np.prod(size) for _, size in set(plan)), default=0) >= _AHEAD_MIN_SIZE:
+        largest = max((np.prod(size) for task in set(plan) for _, size in task), default=0)
+        if largest >= _AHEAD_MIN_SIZE and _usable_cores() > 1:
             from concurrent.futures import ThreadPoolExecutor  # slow to import
             self._pool = ThreadPoolExecutor(1)
 
@@ -71,23 +86,41 @@ class _DrawAhead:
 
     def __exit__(self, *exc_info):
         self._state.rng = self._rng
-        if self._pool:  # cancels the draws not begun and joins the helper
+        if self._pool:  # cancels the tasks not begun and joins the helper
             self._pool.shutdown(cancel_futures=True)
 
+    def _draw(self, task: tuple) -> list:
+        return [getattr(self._rng, kind)(size) for kind, size in task]
+
     def _submit(self, count: int) -> None:
-        for kind, size in itertools.islice(self._plan, count if self._pool else 0):
-            self._ahead.append(((kind, size), self._pool.submit(getattr(self._rng, kind), size)))
+        for task in itertools.islice(self._plan, count if self._pool else 0):
+            self._ahead.append((task, self._pool.submit(self._draw, task)))
 
     def _take(self, kind: str, size):
-        planned, ahead = self._ahead.pop(0) if self._ahead else (next(self._plan, None), None)
-        self._submit(1)
+        if not self._task:  # the last task is used up: open the next
+            task, ahead = self._ahead.popleft() if self._ahead else (next(self._plan, ()), None)
+            self._submit(1)
+            self._task.extend(zip(task, ahead.result() if ahead else [None] * len(task)))
+        planned, drawn = self._task.popleft() if self._task else (None, None)
         if planned != (kind, size):
             raise RuntimeError(f"unplanned draw {kind}({size!r}); the plan has "
                                f"{planned or 'nothing'} next")
-        return getattr(self._rng, kind)(size) if ahead is None else ahead.result()
+        return getattr(self._rng, kind)(size) if drawn is None else drawn
 
     standard_normal = functools.partialmethod(_take, "standard_normal")
     random = functools.partialmethod(_take, "random")
+
+
+def _loop_draws(state: "ChainState", plan: list):
+    """An inner loop's draws: its unit's plan when one is open, else its own plan."""
+    if isinstance(state.rng, _DrawAhead):
+        return contextlib.nullcontext(state.rng)
+    return _DrawAhead(state, plan)
+
+
+def _normals(shape, count: int = 1) -> tuple:
+    """A task of count standard normals of the given shape."""
+    return (("standard_normal", shape),) * count
 
 
 @dataclass(frozen=True)
@@ -205,20 +238,21 @@ def ddpm_run(oracle: ScoreOracle, horizon: float, steps: int, n_chains: int,
     Per segment of length eta = horizon/steps,
         x <- e^eta x + 2 (e^eta - 1) score(t, x) + sqrt(e^(2 eta) - 1) xi,
     with the score queried at t = horizon - k*eta, k = 0..steps-1, so the
-    earliest query time is eta, never 0.
+    earliest query time is eta, never 0.  The prior and every step's noise
+    form one plan for _DrawAhead.
     """
     if steps < 1:
         raise ValueError("DDPM needs at least one step")
     if not (horizon > 0):
         raise ValueError("horizon must be positive")
-    dim = oracle.dim
+    shape = (n_chains, oracle.dim)
     eta = horizon / steps
     drift = 2.0 * math.expm1(eta)
     grow = math.exp(eta)
     noise = math.sqrt(math.expm1(2.0 * eta))
-    state = ChainState(rng.standard_normal((n_chains, dim)), rng)
-    x = state.positions
-    with _DrawAhead(state, [("standard_normal", x.shape)] * steps):
+    state = ChainState(np.empty(shape), rng)
+    with _DrawAhead(state, [_normals(shape)] * (1 + steps)):  # the prior, then each step's
+        x = state.positions = state.rng.standard_normal(shape)
         for k in range(steps):
             s = oracle.score(horizon - k * eta, x)
             x *= grow
@@ -237,8 +271,13 @@ def ula_step(target, state: ChainState, tau: float) -> ChainState:
     return state
 
 
+def _ula_draws(spec: UlaSpec, shape) -> list:
+    """ula_run's draws, one task per step: ula_step's normal."""
+    return [_normals(shape)] * spec.steps
+
+
 def ula_run(target, spec: UlaSpec, state: ChainState) -> ChainState:
-    with _DrawAhead(state, [("standard_normal", state.positions.shape)] * spec.steps):
+    with _loop_draws(state, _ula_draws(spec, state.positions.shape)):
         for _ in range(spec.steps):
             ula_step(target, state, spec.tau)
     return state
@@ -317,6 +356,12 @@ def _resolve_taylor_dt(spec: MalaSpec, oracle: ScoreOracle) -> float:
     return 1e-3
 
 
+def _mala_draws(spec: MalaSpec, shape) -> list:
+    """mala_run's draws, one task per step: the proposal's normal, then the
+    uniform of its accept test."""
+    return [_normals(shape) + (("random", shape[0]),)] * spec.steps
+
+
 def mala_run(target, spec: MalaSpec, state: ChainState) -> ChainState:
     """Run spec.steps MALA iterations, caching the current-point score.
 
@@ -342,8 +387,7 @@ def mala_run(target, spec: MalaSpec, state: ChainState) -> ChainState:
     state.nfe += state.n_chains
     root = math.sqrt(2.0 * tau)
     keep = np.empty(z.shape, dtype=bool)  # accept, one row per chain, for the copies
-    plan = [("standard_normal", z.shape), ("random", state.n_chains)] * spec.steps
-    with _DrawAhead(state, plan) as rng:
+    with _loop_draws(state, _mala_draws(spec, z.shape)) as rng:
         for _ in range(spec.steps):
             z_prop = z - tau * grad_z
             z_prop += root * rng.standard_normal(z.shape)
@@ -367,9 +411,10 @@ def mala_run(target, spec: MalaSpec, state: ChainState) -> ChainState:
             state.nfe += spec.step_nfe * state.n_chains
             np.copyto(keep, accept[:, None])
             np.copyto(z, z_prop, where=keep)
-            np.copyto(score_z, score_prop, where=keep)
             np.copyto(grad_z, grad_prop, where=keep)
-            if not taylor:
+            if taylor:  # the exact path reads score_z only for the first gradient
+                np.copyto(score_z, score_prop, where=keep)
+            else:
                 np.copyto(logp_z, logp_prop, where=accept)
     state.positions = z
     return state
@@ -441,8 +486,13 @@ def uld_step(target, state: ChainState, tau: float, gamma: float) -> ChainState:
     return state
 
 
+def _uld_draws(spec: UldSpec, shape) -> list:
+    """uld_run's draws, one task per step: uld_noise_pair's two normals."""
+    return [_normals(shape, 2)] * spec.steps
+
+
 def uld_run(target, spec: UldSpec, state: ChainState) -> ChainState:
-    with _DrawAhead(state, [("standard_normal", state.positions.shape)] * (2 * spec.steps)):
+    with _loop_draws(state, _uld_draws(spec, state.positions.shape)):
         for _ in range(spec.steps):
             uld_step(target, state, spec.tau, spec.gamma)
     return state
@@ -459,6 +509,25 @@ class SegmentTrace:
     proposals: int
 
 
+def _inner_loop(spec):
+    """(the inner loop that runs spec, the function that lists its draws)."""
+    if isinstance(spec, MalaSpec):
+        return mala_run, _mala_draws
+    if isinstance(spec, UlaSpec):
+        return ula_run, _ula_draws
+    if isinstance(spec, UldSpec):
+        return uld_run, _uld_draws
+    raise TypeError(f"rtk_run cannot drive {type(spec).__name__}")
+
+
+def _init_draws(seg: Segment, spec, shape) -> list:
+    """rtk_run's initialization draws for a segment, as one task: a normal,
+    two for ULD, none for a warm-started ULA segment."""
+    if isinstance(spec, UlaSpec) and seg.index > 0:
+        return []
+    return [_normals(shape, 2 if isinstance(spec, UldSpec) else 1)]
+
+
 def rtk_run(oracle: ScoreOracle, schedule, specs, n_chains: int,
             rng: np.random.Generator) -> tuple[ChainState, list[SegmentTrace]]:
     """Outer annealing loop: from N(0, I) through each segment's target.
@@ -469,7 +538,8 @@ def rtk_run(oracle: ScoreOracle, schedule, specs, n_chains: int,
     completing-square Gaussian; ULA does so only for the first segment and
     then warm-starts from the previous output; ULD draws the theory pair or,
     with init="warm", MALA-style positions plus fresh N(0, I) velocities.
-    Those Gaussians use each segment's own eta and curvature L.
+    Those Gaussians use each segment's own eta and curvature L.  The unit's
+    draws, from the prior to the last step, form one plan for _DrawAhead.
     """
     segments = schedule.segments()
     if isinstance(specs, (UlaSpec, MalaSpec, UldSpec)):
@@ -477,27 +547,26 @@ def rtk_run(oracle: ScoreOracle, schedule, specs, n_chains: int,
     specs = list(specs)
     if len(specs) != len(segments):
         raise ValueError(f"need {len(segments)} inner specs, got {len(specs)}")
-    dim = oracle.dim
-    state = ChainState(rng.standard_normal((n_chains, dim)), rng)
+    loops = [_inner_loop(spec) for spec in specs]
+    shape = (n_chains, oracle.dim)
+    plan = [_normals(shape)]  # the prior
+    for seg, spec, (_, draws) in zip(segments, specs, loops):
+        plan += _init_draws(seg, spec, shape) + draws(spec, shape)
+    state = ChainState(np.empty(shape), rng)
     traces: list[SegmentTrace] = []
-    for seg, spec in zip(segments, specs):
-        if not isinstance(spec, (UlaSpec, MalaSpec, UldSpec)):
-            raise TypeError(f"rtk_run cannot drive {type(spec).__name__}")
-        target = RtkTarget(oracle, seg.t_base, seg.eta, state.positions)
-        accepts0, proposals0 = state.accept_count, state.propose_count
-        if isinstance(spec, UldSpec) and spec.init == "gaussian":
-            state.positions, state.velocity = uld_init(seg, (n_chains, dim), state.rng)
-        elif not isinstance(spec, UlaSpec) or seg.index == 0:
-            state.positions = mala_init(seg, state.positions).sample(state.rng)
-            if isinstance(spec, UldSpec):
-                state.velocity = state.rng.standard_normal((n_chains, dim))
-        if isinstance(spec, MalaSpec):
-            mala_run(target, spec, state)
-        elif isinstance(spec, UlaSpec):
-            ula_run(target, spec, state)
-        else:
-            uld_run(target, spec, state)
-        traces.append(SegmentTrace(seg.index, seg.t_base, spec.steps,
-                                   state.accept_count - accepts0,
-                                   state.propose_count - proposals0))
+    with _DrawAhead(state, plan):
+        state.positions = state.rng.standard_normal(shape)
+        for seg, spec, (run, _) in zip(segments, specs, loops):
+            target = RtkTarget(oracle, seg.t_base, seg.eta, state.positions)
+            accepts0, proposals0 = state.accept_count, state.propose_count
+            if isinstance(spec, UldSpec) and spec.init == "gaussian":
+                state.positions, state.velocity = uld_init(seg, shape, state.rng)
+            elif not isinstance(spec, UlaSpec) or seg.index == 0:
+                state.positions = mala_init(seg, state.positions).sample(state.rng)
+                if isinstance(spec, UldSpec):
+                    state.velocity = state.rng.standard_normal(shape)
+            run(target, spec, state)
+            traces.append(SegmentTrace(seg.index, seg.t_base, spec.steps,
+                                       state.accept_count - accepts0,
+                                       state.propose_count - proposals0))
     return state, traces

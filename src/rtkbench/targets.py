@@ -234,8 +234,11 @@ def sample_base(mix: IsotropicGaussianMixture, n: int, rng: np.random.Generator)
         hi = min(lo + _TILE_ROWS, n)
         np.multiply(noise[lo % chunk:][:hi - lo].T, np.sqrt(mix.variances[idx[lo:hi]]), out=out[:, lo:hi])
     del noise  # freed before the means[idx] columns are gathered
-    for row, mean in zip(out, mix.means.T):
+    s = mix._support
+    for row, mean in zip(out[s], mix.means.T[s]):
         row += mean[idx]
+    out[:s.start] += 0.0  # every mean off the support is +0.0: no gather
+    out[s.stop:] += 0.0
     return out.T
 
 

@@ -620,6 +620,20 @@ def helper_threads(rng):
     return set(rng.threads) - {threading.get_ident()}
 
 
+@pytest.fixture
+def two_usable_cores(monkeypatch):
+    """A helper is started as on any host with a spare core."""
+    monkeypatch.setattr(samplers, "_usable_cores", lambda: 2)
+
+
+@pytest.fixture
+def thread_starts(monkeypatch):
+    """The threads started while the test runs."""
+    started, real = [], threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start", lambda self: started.append(self) or real(self))
+    return started
+
+
 def assert_same_run(a, b):
     np.testing.assert_array_equal(a.positions, b.positions)
     np.testing.assert_array_equal(a.velocity, b.velocity)
@@ -629,7 +643,7 @@ def assert_same_run(a, b):
 
 def swap_pairs(plan):
     """Each step's two planned draws in the other order."""
-    return [plan[i ^ 1] for i in range(len(plan))]
+    return [task[::-1] for task in plan]
 
 
 class SwappedPlan(samplers._DrawAhead):
@@ -642,31 +656,36 @@ class SwappedByKind(SwappedPlan):
     normal, and requests are served by kind, so no request is refused."""
 
     def _take(self, kind, size):
-        i = next(i for i, (planned, _) in enumerate(self._ahead) if planned == (kind, size))
-        _, ahead = self._ahead.pop(i)
-        self._submit(1)
-        return ahead.result()
+        if not self._task:
+            task, ahead = self._ahead.popleft()
+            self._submit(1)
+            self._task = list(zip(task, ahead.result()))
+        i = next(i for i, (planned, _) in enumerate(self._task) if planned == (kind, size))
+        return self._task.pop(i)[1]
 
     standard_normal = functools.partialmethod(_take, "standard_normal")
     random = functools.partialmethod(_take, "random")
 
 
-class TestDrawAhead:
-    def inline_run(self, name, monkeypatch):
-        with monkeypatch.context() as m:
-            m.setattr(samplers, "_AHEAD_MIN_SIZE", math.inf)
-            rng = RecordingRng(40)
-            state = run_loop(name, rng)
-        assert not helper_threads(rng)
-        return state
+def inline_run(run, name, monkeypatch):
+    """run(name, rng) from RecordingRng(40), every draw made inline."""
+    with monkeypatch.context() as m:
+        m.setattr(samplers, "_AHEAD_MIN_SIZE", math.inf)
+        rng = RecordingRng(40)
+        state = run(name, rng)
+    assert not helper_threads(rng)
+    return state
 
+
+@pytest.mark.usefixtures("two_usable_cores")
+class TestDrawAhead:
     @pytest.mark.parametrize("name", ["ddpm", *LOOPS])
     def test_helper_run_equals_the_inline_run(self, name, monkeypatch):
         rng = RecordingRng(40)
         ahead = run_loop(name, rng)
         assert len(helper_threads(rng)) == 1  # every loop draw made on one helper thread
         assert ahead.rng is rng
-        assert_same_run(ahead, self.inline_run(name, monkeypatch))
+        assert_same_run(ahead, inline_run(run_loop, name, monkeypatch))
 
     def test_identity_holds_with_a_short_switch_interval(self, monkeypatch):
         interval = sys.getswitchinterval()
@@ -675,10 +694,10 @@ class TestDrawAhead:
             ahead = run_loop("mala", RecordingRng(40))
         finally:
             sys.setswitchinterval(interval)
-        assert_same_run(ahead, self.inline_run("mala", monkeypatch))
+        assert_same_run(ahead, inline_run(run_loop, "mala", monkeypatch))
 
     def test_control_a_swapped_plan_fails_the_identity_check(self, monkeypatch):
-        inline = self.inline_run("mala", monkeypatch)
+        inline = inline_run(run_loop, "mala", monkeypatch)
         with monkeypatch.context() as m:
             m.setattr(samplers, "_DrawAhead", SwappedPlan)
             with pytest.raises(RuntimeError, match="unplanned draw standard_normal"):
@@ -692,7 +711,7 @@ class TestDrawAhead:
     def test_an_unplanned_draw_raises(self, chains):
         rng = np.random.default_rng(0)
         state = ChainState(np.zeros((chains, 2)), rng)
-        with samplers._DrawAhead(state, [("standard_normal", (chains, 2)), ("random", chains)]):
+        with samplers._DrawAhead(state, [(("standard_normal", (chains, 2)), ("random", chains))]):
             assert state.rng.standard_normal((chains, 2)).shape == (chains, 2)
             want = f"unplanned draw standard_normal({(chains, 2)}); the plan has {('random', chains)}"
             with pytest.raises(RuntimeError, match=re.escape(want)):
@@ -733,6 +752,105 @@ class TestDrawAhead:
         assert helper_threads(rng) and threading.get_ident() not in rng.threads
         assert state.rng is rng
         assert threading.active_count() == baseline
+
+
+# Whole units over three segments: ULA warm-starts its later segments, ULD
+# draws its initialization pair either way, and MALA restarts even a 0-step
+# segment.
+UNITS = {
+    "ula": UlaSpec(steps=3, tau=0.05),
+    "uld": UldSpec(steps=3, tau=0.1, gamma=2.0),
+    "uld_warm": UldSpec(steps=3, tau=0.1, gamma=2.0, init="warm"),
+    "mala": [MalaSpec(steps=3, tau=0.05), MalaSpec(steps=0, tau=0.05), MalaSpec(steps=2, tau=0.05)],
+    "mala_es": MalaSpec(steps=3, tau=0.05, estimator="taylor"),
+}
+
+
+def run_unit(name, rng, chains=AHEAD_CHAINS):
+    """The final state of one unit, as bench runs it, at d = 2."""
+    oracle = ScoreOracle(mixture_target().oracle.base, score_error=0.5, error_seed=3,
+                         error_cell=1e6)
+    if name == "ddpm":
+        return ddpm_run(oracle, 1.5, 6, chains, rng)
+    sched = FixedSchedule(times=(0.0, 0.5, 1.0), horizon=1.5, L=2.0)
+    return rtk_run(oracle, sched, UNITS[name], chains, rng)[0]
+
+
+@pytest.mark.usefixtures("two_usable_cores")
+class TestUnitPlan:
+    """One plan per unit: the prior, each segment's initialization and each
+    step, made ahead on one helper thread."""
+
+    @pytest.mark.parametrize("name", list(UNITS))
+    def test_helper_unit_equals_the_inline_unit(self, name, monkeypatch):
+        rng = RecordingRng(40)
+        ahead = run_unit(name, rng)
+        # Every draw of the unit, the prior and each initialization too.
+        assert len(helper_threads(rng)) == 1 and threading.get_ident() not in rng.threads
+        assert ahead.rng is rng
+        assert_same_run(ahead, inline_run(run_unit, name, monkeypatch))
+
+    @pytest.mark.parametrize("name", ["ddpm", *UNITS])
+    def test_a_unit_starts_one_helper_thread(self, name, thread_starts):
+        run_unit(name, RecordingRng(61))
+        assert len(thread_starts) == 1
+
+    def test_each_initialization_and_each_step_is_one_task(self, monkeypatch):
+        tasks, real = [], samplers._DrawAhead._draw
+        monkeypatch.setattr(samplers._DrawAhead, "_draw",
+                            lambda self, task: tasks.append(task) or real(self, task))
+        normal, uniform = ("standard_normal", (AHEAD_CHAINS, 2)), ("random", AHEAD_CHAINS)
+        run_unit("mala", RecordingRng(64))
+        # The prior; then per segment its initialization and its 3, 0 and 2 steps.
+        assert tasks == ([(normal,)] * 2 + [(normal, uniform)] * 3 + [(normal,)] * 2
+                         + [(normal, uniform)] * 2)
+        tasks.clear()
+        run_unit("uld", RecordingRng(64))
+        assert tasks == [(normal,)] + ([(normal, normal)] * 4) * 3
+
+    @pytest.mark.parametrize("chains", [AHEAD_CHAINS, 10], ids=["helper", "inline"])
+    def test_an_initialization_draw_outside_the_plan_raises(self, chains, monkeypatch):
+        real = samplers.mala_init
+
+        def drawing_init(seg, x_prev):
+            init = real(seg, x_prev)
+            return SimpleNamespace(sample=lambda rng: init.sample(rng) + rng.random(chains)[:, None])
+
+        monkeypatch.setattr(samplers, "mala_init", drawing_init)
+        want = (f"unplanned draw random({chains}); the plan has "
+                f"{('standard_normal', (chains, 2))} next")
+        with pytest.raises(RuntimeError, match=re.escape(want)):
+            run_unit("mala", np.random.default_rng(62), chains)
+
+    @pytest.mark.parametrize("name", ["ddpm", *UNITS])
+    def test_an_oracle_error_mid_unit_leaves_no_thread(self, name, monkeypatch):
+        baseline = threading.active_count()
+        real, calls = ScoreOracle.score, itertools.count()
+
+        def failing(self, t, x, with_log_density=False):
+            if next(calls) == 5:  # mid-unit, past the first segment of each rtk_run unit
+                raise FloatingPointError("planted oracle fault")
+            return real(self, t, x, with_log_density)
+
+        monkeypatch.setattr(ScoreOracle, "score", failing)
+        rng = RecordingRng(63)
+        with pytest.raises(FloatingPointError, match="planted oracle fault"):
+            run_unit(name, rng)
+        assert helper_threads(rng)
+        assert threading.active_count() == baseline
+
+
+@pytest.mark.parametrize("name", ["ddpm", "mala", "uld"])
+def test_one_usable_core_draws_inline(name, monkeypatch, thread_starts):
+    with monkeypatch.context() as m:
+        m.setattr(samplers.os, "sched_getaffinity", lambda pid: {0})
+        rng = RecordingRng(60)
+        state = run_unit(name, rng)
+    assert not thread_starts and not helper_threads(rng)
+    monkeypatch.setattr(samplers, "_usable_cores", lambda: 2)
+    helper = RecordingRng(60)
+    assert_same_run(state, run_unit(name, helper))
+    assert helper_threads(helper)
 
 
 class TestUpdatesMatchTheirFormulas:

@@ -481,6 +481,20 @@ class TestSampleBase:
         assert rng.standard_normal(3).tobytes() == ref_rng.standard_normal(3).tobytes()
         assert got.T.flags.c_contiguous
 
+    @pytest.mark.parametrize("case", ["scattered", "ring"])
+    def test_zero_means_off_the_support_bit_equal_to_the_expression(self, case):
+        """Columns off the support get +0.0 added, not a gathered zero mean:
+        the scattered mixture's coordinate 0 and the ring's 2 to 9, next to
+        the zero coordinate 3 inside the scattered support.  A planted -0.0
+        noise value still comes out +0.0, as from the expression."""
+        mix = scattered_mixture() if case == "scattered" else preset_ring()
+        assert mix._support != slice(0, mix.dim)
+        got = sample_base(mix, 3000, SignedZeroGenerator(np.random.PCG64(8)))
+        want = one_shot_draw(mix, 3000, SignedZeroGenerator(np.random.PCG64(8)))
+        assert got.tobytes() == want.tobytes()
+        off = np.r_[0:mix._support.start, mix._support.stop:mix.dim]
+        assert (got[:, off] == 0).any() and not np.signbit(got[got == 0]).any()
+
     def test_peak_memory_is_about_the_output(self):
         mix = IsotropicGaussianMixture.ring(48, 32)
         n = 100_000
@@ -506,6 +520,15 @@ class CountingGenerator(np.random.Generator):
     def standard_normal(self, size=None, *args, **kwargs):
         self.normal_sizes.append(kwargs["out"].shape if size is None else size)
         return super().standard_normal(size, *args, **kwargs)
+
+
+class SignedZeroGenerator(np.random.Generator):
+    """A Generator whose every third standard normal is -0.0."""
+
+    def standard_normal(self, size=None, *args, **kwargs):
+        out = super().standard_normal(size, *args, **kwargs)
+        out.reshape(-1)[::3] = -0.0
+        return out
 
 
 def random_mixture(d):
