@@ -69,8 +69,13 @@ _CHECKS = {
 def _check(key: str, value, rule: str | None) -> None:
     """Apply a named range rule, then require every float to be finite.
 
-    The range rule runs first, so a NaN fails with the rule's own wording.
+    A tuple has each entry checked.  The range rule runs first, so a NaN
+    fails with the rule's own wording.
     """
+    if isinstance(value, tuple):
+        for entry in value:
+            _check(key, entry, rule)
+        return
     if value is None:
         return
     if rule is not None:
@@ -529,8 +534,7 @@ def mixture_from_mapping(kv: dict[str, str], origin: str = "<config>",
             raise ValueError(f"{origin}: mixture.kind = {kind} needs {key}")
         read.add(key)
         parsed = _read(key, kv.get(key, default), annotation, origin)
-        for entry in parsed if isinstance(parsed, tuple) else (parsed,):
-            _check(key, entry, check)
+        _check(key, parsed, check)
         return parsed
 
     if kind == "standard_normal":
@@ -593,12 +597,14 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
 
 def _format(value) -> str:
-    if isinstance(value, tuple):
+    """A config value as text; a float as .10g when that reads back exactly."""
+    if isinstance(value, (tuple, np.ndarray)):
         return ",".join(_format(v) for v in value)
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        return f"{value:.10g}"
+        short = f"{value:.10g}"
+        return short if float(short) == value else repr(float(value))
     return str(value)
 
 
@@ -614,22 +620,21 @@ def config_to_text(config: ExperimentConfig) -> str:
         value = getattr(config, f.name)
         if value is not None and value != () and f.name != "output_dir":
             lines.append(f"{f.metadata['key']} = {_format(value)}")
-    w = np.asarray(mix.weights)
     uniform_ring = _looks_like_ring(mix)
     if uniform_ring:
         lines += [
             "mixture.kind = ring",
             f"mixture.components = {mix.n_components}",
             f"mixture.dim = {mix.dim}",
-            f"mixture.radius = {uniform_ring:.10g}",
-            f"mixture.variance = {float(mix.variances[0]):.10g}",
+            f"mixture.radius = {_format(uniform_ring)}",
+            f"mixture.variance = {_format(mix.variances[0])}",
         ]
     else:
         lines.append("mixture.kind = explicit")
-        lines.append("mixture.weights = " + ",".join(f"{x:.17g}" for x in w))
-        lines.append("mixture.variances = " + ",".join(f"{x:.17g}" for x in mix.variances))
+        lines.append(f"mixture.weights = {_format(mix.weights)}")
+        lines.append(f"mixture.variances = {_format(mix.variances)}")
         for i, mean in enumerate(mix.means):
-            lines.append(f"mixture.means.{i} = " + ",".join(f"{x:.17g}" for x in mean))
+            lines.append(f"mixture.means.{i} = {_format(mean)}")
     return "\n".join(lines) + "\n"
 
 
@@ -638,7 +643,7 @@ def _looks_like_ring(mix: IsotropicGaussianMixture) -> float | None:
     k, d = mix.n_components, mix.dim
     if k < 2 or d < 2:
         return None
-    if not np.allclose(mix.weights, 1.0 / k, rtol=0, atol=1e-15):
+    if not np.all(mix.weights == 1.0 / k):
         return None
     if not np.all(mix.variances == mix.variances[0]):
         return None

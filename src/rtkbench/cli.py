@@ -263,8 +263,9 @@ def _check_error_field() -> None:
     # stepping, and numpy's ziggurat with its tables; a numpy release that
     # changes any of them must fail here.
     _check_seed_sequence([1, 2**40 + 3, 2**127 + 5])
-    # Payloads 654 and 952 hold tail draws; the first 40 hold wedge draws
-    # that accept and that reject.
+    # Payload 952 holds a tail draw at d = 2 and 10, and 654 one at d = 10;
+    # numpy draws those rows from their seeded state.  The first 40 hold
+    # wedge draws that accept and that reject.
     payloads = [i.to_bytes(8, "little") for i in (*range(40), 654, 952)]
     digests = {p: hashlib.blake2b(p, digest_size=16).digest() for p in payloads}
     seeds = {p: int.from_bytes(digest, "little") for p, digest in digests.items()}

@@ -250,12 +250,11 @@ _SS_MIX_L, _SS_MIX_R = 0xCA01F9DD, 0x4973F715
 _U32, _U64 = (1 << 32) - 1, (1 << 64) - 1
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _PCG_MULT_LIMBS = tuple(np.uint64(v) for v in (_PCG_MULT >> 64, _PCG_MULT & _U64))
-# numpy's ziggurat tables and tail constants; the PCG64 words a row may read
-# beyond one per normal, enough for a few wedge or tail draws; and the
-# relative margin within which np.exp may not decide a wedge test.
+# numpy's ziggurat tables; the PCG64 words a row may read beyond one per
+# normal, enough for a few wedge draws; and the relative margin within which
+# np.exp may not decide a wedge test.
 _ZIG_KI, _ZIG_WI, _ZIG_FI = (np.array(t, dtype=dt) for t, dt in (
     (_ziggurat.KI, np.uint64), (_ziggurat.WI, np.float64), (_ziggurat.FI, np.float64)))
-_ZIG_NOR_R, _ZIG_NOR_INV_R = 3.6541528853610087963519472518, 0.27366123732975827203338247596
 _SPARE_WORDS = 4
 _WEDGE_MARGIN = 2.0**-48
 
@@ -388,17 +387,20 @@ def _ziggurat_candidates(words: Array) -> tuple[Array, Array, Array]:
     return layer, x, rabs < _ZIG_KI[layer]
 
 
-def _tail_draw(words: Array, q: int) -> tuple[float, int] | None:
-    """(value, index of the next unread word) of the ziggurat tail draw whose
-    candidate is words[q], or None when the words run out first.  Each try
-    reads two words as next_double and takes libm's log1p, as numpy's C does."""
-    for j in range(q + 1, len(words) - 1, 2):
-        u, v = ((int(w) >> 11) * (1.0 / 9007199254740992.0) for w in words[j:j + 2])
-        xx = -_ZIG_NOR_INV_R * math.log1p(-u)
-        yy = -math.log1p(-v)
-        if yy + yy > xx * xx:
-            return (-(_ZIG_NOR_R + xx) if int(words[q]) >> 17 & 1 else _ZIG_NOR_R + xx), j + 2
-    return None
+def _generator_normals(limbs: tuple[Array, ...], rows: Array, dim: int) -> Array:
+    """Generator(PCG64).standard_normal(dim) drawn by numpy itself from the
+    PCG64 state limbs = (hi, lo, inc hi, inc lo) of each of rows, shape
+    (len(rows), dim)."""
+    out = np.empty((len(rows), dim))
+    if not len(rows):
+        return out
+    bits = np.random.PCG64(0)
+    gen, state = np.random.Generator(bits), bits.state
+    for j, (hi, lo, inc_hi, inc_lo) in enumerate(zip(*(limb[rows].tolist() for limb in limbs))):
+        state["state"] = {"state": hi << 64 | lo, "inc": inc_hi << 64 | inc_lo}
+        bits.state = state
+        gen.standard_normal(out=out[j])
+    return out
 
 
 def _standard_normals(limbs: tuple[Array, ...], dim: int) -> Array:
@@ -407,12 +409,11 @@ def _standard_normals(limbs: tuple[Array, ...], dim: int) -> Array:
 
     This is random_standard_normal's ziggurat.  A fast draw takes one word;
     a wedge draw takes one more word as next_double and is redrawn when
-    rejected; a tail draw takes two more per try.  Rows whose first dim
-    words are all fast are done in one pass; the rest read up to
-    _SPARE_WORDS more words.  Tail draws, and wedge tests within
-    _WEDGE_MARGIN (relative) of their bound, where np.exp need not match
-    libm's exp to the last bit, are finished one by one with libm's
-    functions.  A row that runs out of words is left unfinished, all zeros.
+    rejected.  Rows whose first dim words are all fast are done in one pass;
+    the rest read up to _SPARE_WORDS more words.  A row the pass cannot
+    finish is drawn by numpy from its own state: one with a tail candidate,
+    a wedge test within _WEDGE_MARGIN (relative) of its bound, where np.exp
+    need not match libm's exp to the last bit, or too few words.
     """
     hi, lo = _pcg64_ahead(*limbs, dim)
     words = _xsl_rr(hi, lo)  # (dim, m)
@@ -428,42 +429,32 @@ def _standard_normals(limbs: tuple[Array, ...], dim: int) -> Array:
     k = words.shape[1]
     take = fast.copy()  # the words whose candidate becomes a draw
     pending = ~fast     # slow words not yet read as a candidate or a uniform
-    bad = np.zeros(hard.size, dtype=bool)
+    unfinished = np.zeros(hard.size, dtype=bool)
     rows = np.arange(hard.size)
     while True:
         # A row's first pending word is its next candidate, unless the row
         # has its dim draws before it.
         q = pending.argmax(axis=1)
-        live = pending[rows, q] & (np.cumsum(take, axis=1)[rows, q] < dim) & ~bad
+        live = pending[rows, q] & (np.cumsum(take, axis=1)[rows, q] < dim) & ~unfinished
         if not live.any():
             break
         r, q = rows[live], q[live]
         i = layer[r, q]
-        stuck = q + 1 >= k  # no word left for a uniform
-        bad[r[stuck]] = True
-        r, q, i = r[~stuck], q[~stuck], i[~stuck]
-        for row, col in zip(r[i == 0], q[i == 0]):
-            drawn = _tail_draw(words[row], col)
-            bad[row] = drawn is None
-            if drawn:
-                x[row, col], end = drawn
-                take[row, col], take[row, col + 1:end] = True, False
-                pending[row, col:end] = False
-        r, q, i = r[i > 0], q[i > 0], i[i > 0]
+        wedge = (i > 0) & (q + 1 < k)  # not a tail candidate, and a word left for a uniform
+        unfinished[r[~wedge]] = True
+        r, q, i = r[wedge], q[wedge], i[wedge]
         u = (words[r, q + 1] >> 11) * (1.0 / 9007199254740992.0)
         test = (_ZIG_FI[i - 1] - _ZIG_FI[i]) * u + _ZIG_FI[i]
         xq = x[r, q]
         bound = np.exp(-0.5 * xq * xq)
-        accept = test < bound
-        for j in np.flatnonzero(np.abs(test - bound) <= bound * _WEDGE_MARGIN):
-            accept[j] = test[j] < math.exp(-0.5 * xq[j] * xq[j])
-        take[r, q], take[r, q + 1] = accept, False
+        unfinished[r[np.abs(test - bound) <= bound * _WEDGE_MARGIN]] = True
+        take[r, q], take[r, q + 1] = test < bound, False
         pending[r, q], pending[r, q + 1] = False, False
     take &= np.cumsum(take, axis=1) <= dim
-    bad |= take.sum(axis=1) < dim
-    good = ~bad
-    values[hard[good]] = x[good][take[good]].reshape(-1, dim)
-    values[hard[bad]] = 0.0
+    unfinished |= take.sum(axis=1) < dim
+    done = ~unfinished
+    values[hard[done]] = x[done][take[done]].reshape(-1, dim)
+    values[hard[unfinished]] = _generator_normals(limbs, hard[unfinished], dim)
     return values
 
 
@@ -497,9 +488,8 @@ def _hashed_unit_directions(keys: Sequence[bytes], dim: int, prefix: bytes = b""
 
     Row i is bit-equal to _row_direction(blake2b(prefix + keys[i],
     digest_size=16), dim).  The seeding, the PCG64 draws and the ziggurat
-    run in lockstep over the batch; a row that comes back with norm 0,
-    unfinished by the ziggurat or a true zero draw, is derived by
-    _row_direction itself.
+    run in lockstep over the batch; a row whose draws are all zero, so
+    that its norm is 0, is derived by _row_direction itself.
     """
     state, digests = _prefixed(prefix, 16), []
     for key in keys:

@@ -241,6 +241,20 @@ class TestConfigText:
         assert np.array_equal(back.mixture.means, mix.means)
         assert np.array_equal(back.mixture.variances, mix.variances)
 
+    def test_floats_roundtrip_exactly(self):
+        # At .10g these read back as 6.333333333 and ring means 3.3e-11 off;
+        # ring weights one ulp off 1/4 must not be written as a ring.
+        ring = IsotropicGaussianMixture.ring(4, 2, radius=1 / 3)
+        weights = ring.weights + [2**-54, -2**-54, 0.0, 0.0]
+        for mix in (ring, IsotropicGaussianMixture(weights, ring.means, ring.variances)):
+            cfg = small_config(horizon=6 + 1 / 3, mixture=mix)
+            text = config_to_text(cfg)
+            back = config_from_text(text)
+            assert back.horizon == cfg.horizon
+            for name in ("weights", "means", "variances"):
+                assert np.array_equal(getattr(back.mixture, name), getattr(mix, name))
+            assert config_to_text(back) == text
+
     def test_comments_and_blank_lines_ignored(self):
         text = config_to_text(small_config()) + "\n# trailing comment\n\n"
         cfg = config_from_text(text)

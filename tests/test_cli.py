@@ -262,6 +262,13 @@ class TestBadExperimentValues:
         assert "experiment.nfe_budgets = 3 cannot cover the 5 schedule segments" in err
         assert calls == []
 
+    def test_non_finite_schedule_time(self, tmp_path, capsys):
+        # A theory schedule never reads schedule.times, but its entries are checked.
+        text = _with_line("schedule.kind = theory").replace(
+            "schedule.times = 0,1.2", "schedule.times = 0,inf")
+        err = self.run_one_line_error(tmp_path, capsys, text)
+        assert err == "error: schedule.times must be finite, got inf\n"
+
     def test_failed_unit_is_named_in_one_line(self, tmp_path, capsys, monkeypatch):
         def failing(*args, **kwargs):
             raise FloatingPointError("overflow in a planted step")

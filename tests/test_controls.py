@@ -7,6 +7,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import conftest
@@ -87,6 +88,20 @@ def test_an_equal_cells_branch_fails_the_cell_zero_guard(monkeypatch):
     with pytest.raises(AssertionError, match="a batch outside cell 0 reached the cell cache"):
         test_targets.TestHashedDirections().test_only_batches_at_cell_zero_reach_the_cell_cache(
             monkeypatch)
+
+
+def test_a_fallback_one_step_on_fails_the_batch_identity(monkeypatch):
+    # numpy starts each row it draws from the state one LCG step past the
+    # row's seeded state.
+    real = targets._generator_normals
+
+    def one_step_on(limbs, rows, dim):
+        hi, lo = targets._pcg64_ahead(*(limb[rows] for limb in limbs), 1)
+        return real((hi[0], lo[0], limbs[2][rows], limbs[3][rows]), np.arange(len(rows)), dim)
+
+    monkeypatch.setattr(targets, "_generator_normals", one_step_on)
+    with pytest.raises(AssertionError, match="Arrays are not equal"):
+        test_targets.TestHashedDirections().test_large_batch_takes_every_ziggurat_lane(10)
 
 
 def test_a_template_with_a_stray_byte_fails_the_digest_identity(monkeypatch):

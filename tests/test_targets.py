@@ -690,6 +690,14 @@ def count_per_row_rows(monkeypatch):
     return seen
 
 
+def record_generator_rows(monkeypatch):
+    """The batch rows that targets._generator_normals draws from now on."""
+    drawn, real = [], targets._generator_normals
+    monkeypatch.setattr(targets, "_generator_normals",
+                        lambda limbs, rows, dim: drawn.extend(rows.tolist()) or real(limbs, rows, dim))
+    return drawn
+
+
 @functools.lru_cache(maxsize=None)
 def tail_rows(dim):
     """{payload: cli._draw_words of its digest} for the rows among
@@ -829,8 +837,7 @@ class TestHashedDirections:
         np.testing.assert_array_equal(got, want)
 
     def test_rows_left_at_zero_take_the_defining_formula(self, monkeypatch):
-        # Whatever the lockstep pass leaves at zero, unfinished or a zero
-        # draw, is derived from its digest alone.
+        # A row whose draws are all zero is derived from its digest alone.
         real = targets._standard_normals
 
         def with_zero_rows(limbs, dim):
@@ -868,48 +875,58 @@ class TestHashedDirections:
     @pytest.mark.parametrize("setting, value", [("_SPARE_WORDS", 1), ("_WEDGE_MARGIN", 1.0)],
                              ids=["out-of-words", "every-wedge-in-margin"])
     def test_undecided_rows_fall_back_to_the_generator(self, monkeypatch, setting, value):
-        # With one spare word many rows run out of words and take the per-row
-        # path; with a margin of 1 every wedge test is decided by math.exp.
-        monkeypatch.setattr(targets, setting, value)
+        # With one spare word many rows run out of words; with a margin of 1
+        # most wedge tests are too close to call.  numpy draws those rows,
+        # more than under the defaults, and none reaches the per-row path.
         payloads = cell_payloads(np.random.default_rng(8).integers(-10**6, 10**6, (2000, 10)))
         want = np.array([reference_direction(p, 10) for p in payloads])
+        per_row, drawn = count_per_row_rows(monkeypatch), record_generator_rows(monkeypatch)
+        targets._hashed_unit_directions(payloads, 10)
+        default = set(drawn)
+        drawn.clear()
+        monkeypatch.setattr(targets, setting, value)
         np.testing.assert_array_equal(targets._hashed_unit_directions(payloads, 10), want)
+        assert per_row == []
+        assert default < set(drawn)
 
     def test_wedges_in_the_margin_stay_in_the_lockstep_pass(self, monkeypatch):
-        # A margin of 1 sends every wedge test of the batch to math.exp; no
-        # more rows reach the per-row path than under the default margin.
+        """With the margin at 1, numpy draws every row whose wedge test lies
+        within twice its bound, which here is every wedge: exactly the rows
+        with a draw that reads more than one PCG64 word.  None reaches the
+        per-row path."""
         payloads = cell_payloads(np.random.default_rng(8).integers(-10**6, 10**6, (2000, 10)))
+        digests = [hashlib.blake2b(p, digest_size=16).digest() for p in payloads]
+        slow = {i for i, digest in enumerate(digests)
+                if any(words > 1 for _, words in cli._draw_words(int.from_bytes(digest, "little"), 10))}
         want = np.array([reference_direction(p, 10) for p in payloads])
-        per_row = count_per_row_rows(monkeypatch)
-        np.testing.assert_array_equal(targets._hashed_unit_directions(payloads, 10), want)
-        default = len(per_row)
+        per_row, drawn = count_per_row_rows(monkeypatch), record_generator_rows(monkeypatch)
         monkeypatch.setattr(targets, "_WEDGE_MARGIN", 1.0)
         np.testing.assert_array_equal(targets._hashed_unit_directions(payloads, 10), want)
-        assert len(per_row) == 2 * default
+        assert per_row == []
+        assert sorted(drawn) == sorted(slow)
 
     @pytest.mark.parametrize("dim", [2, 10, 32])
     def test_tail_draws_stay_in_the_lockstep_pass(self, dim, monkeypatch):
-        """Rows found by search to take a tail draw match the defining
-        formula; only those whose draws read more than their dim +
-        _SPARE_WORDS words reach the per-row path."""
-        rows = tail_rows(dim)
-        payloads = list(rows)
-        long = {hashlib.blake2b(p, digest_size=16).digest() for p, draws in rows.items()
-                if sum(words for _, words in draws) > dim + targets._SPARE_WORDS}
-        assert len(payloads) - len(long) >= 8
+        """Rows found by search to take a tail draw are drawn by numpy from
+        their seeded state, match the defining formula, and none reaches the
+        per-row path, however many words their draws read."""
+        payloads = list(tail_rows(dim))
+        assert len(payloads) >= 8
         want = np.array([reference_direction(p, dim) for p in payloads])
-        per_row = count_per_row_rows(monkeypatch)
+        per_row, drawn = count_per_row_rows(monkeypatch), record_generator_rows(monkeypatch)
         np.testing.assert_array_equal(targets._hashed_unit_directions(payloads, dim), want)
-        assert set(per_row) == long
+        assert per_row == []
+        assert sorted(drawn) == list(range(len(payloads)))
 
     def test_a_retried_tail_draw_stays_in_the_lockstep_pass(self, monkeypatch):
         retried = [p for p, draws in tail_rows(10).items()
                    if any(layer == 0 and words >= 5 for layer, words in draws)]
         assert retried
-        per_row = count_per_row_rows(monkeypatch)
+        per_row, drawn = count_per_row_rows(monkeypatch), record_generator_rows(monkeypatch)
         np.testing.assert_array_equal(targets._hashed_unit_directions(retried, 10),
                                       [reference_direction(p, 10) for p in retried])
         assert per_row == []
+        assert sorted(drawn) == list(range(len(retried)))
 
     @pytest.mark.parametrize("n", [0, 1, 12345, 2**32 - 1, 2**32, 2**64 + 5,
                                    2**96 - 1, 2**96 + 3, 2**128 - 1])
