@@ -217,15 +217,29 @@ def build_schedule(config: ExperimentConfig) -> FixedSchedule:
     """The run's schedule.
 
     Theory schedules use the data-time bound L = 1 / min variance on every
-    segment; fixed ones carry each segment's segment_curvature.
+    segment; fixed ones carry each segment's segment_curvature.  A schedule
+    whose segment count or curvature cannot be computed in float64 fails
+    with a ValueError that names its keys.
     """
     mix = config.mixture
     if config.schedule_kind == "theory":
         L = 1.0 / float(mix.variances.min())
-        grad0 = float(np.linalg.norm(score(mix, 0.0, np.zeros(mix.dim))))
-        return FixedSchedule.theory(L, mix.dim, grad0, config.eps,
-                                    max_outer_steps=config.max_outer_steps)
+        with np.errstate(all="ignore"):  # a gradient that leaves float64 fails the count
+            grad0 = float(np.linalg.norm(score(mix, 0.0, np.zeros(mix.dim))))
+        try:
+            return FixedSchedule.theory(L, mix.dim, grad0, config.eps,
+                                        max_outer_steps=config.max_outer_steps)
+        except (ArithmeticError, ValueError) as exc:  # outer_steps' count leaves float64
+            raise ValueError(
+                f"schedule.kind = theory: no segment count for L = 1 / min mixture variance "
+                f"= {L:g}, |grad f(0)| = {grad0:g} and schedule.eps = {config.eps:g} ({exc})"
+            ) from exc
     sched = FixedSchedule(times=config.fixed_times, horizon=config.horizon, L=1.0)
+    for seg in sched.segments():
+        if math.exp(-2.0 * seg.eta) == 1.0:  # segment_curvature would divide by zero
+            raise ValueError(f"schedule.times and experiment.horizon give the segment from "
+                             f"t = {seg.t_base:g} a length of {seg.eta:g}, too short for "
+                             "exp(-2 eta) < 1")
     return replace(sched, L=[segment_curvature(mix, seg.t_base, seg.eta)
                              for seg in sched.segments()])
 

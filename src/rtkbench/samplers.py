@@ -10,7 +10,6 @@ one unit per score query, zero for analytic energy differences, and
 from __future__ import annotations
 
 import collections
-import contextlib
 import functools
 import itertools
 import math
@@ -60,14 +59,15 @@ def _usable_cores() -> int:
 
 
 class _DrawAhead:
-    """state.rng for one unit, or one inner loop run alone: its planned draws, made ahead.
+    """state.rng for one unit: its planned draws, made ahead.
 
     plan lists tasks in draw order, each a tuple of (method, size) draws: a
     unit's prior, each segment's initialization and each step.  One helper
     thread, the only one to touch the Generator, makes them a task at a
     time, at most two tasks ahead, while numpy fills them without the GIL.
-    A request other than the next planned draw raises.  With no draw of
-    _AHEAD_MIN_SIZE elements, or one usable core, the draws are made inline.
+    A request other than the next planned draw raises, and so does a unit
+    that ends with planned draws left.  With no draw of _AHEAD_MIN_SIZE
+    elements, or one usable core, the draws are made inline.
     """
 
     def __init__(self, state: "ChainState", plan: list):
@@ -84,10 +84,12 @@ class _DrawAhead:
         self._state.rng = self
         return self
 
-    def __exit__(self, *exc_info):
+    def __exit__(self, exc_type, *exc_info):
         self._state.rng = self._rng
         if self._pool:  # cancels the tasks not begun and joins the helper
             self._pool.shutdown(cancel_futures=True)
+        if exc_type is None and (self._task or self._ahead or next(self._plan, None)):
+            raise RuntimeError("the unit ended with planned draws left")
 
     def _draw(self, task: tuple) -> list:
         return [getattr(self._rng, kind)(size) for kind, size in task]
@@ -109,13 +111,6 @@ class _DrawAhead:
 
     standard_normal = functools.partialmethod(_take, "standard_normal")
     random = functools.partialmethod(_take, "random")
-
-
-def _loop_draws(state: "ChainState", plan: list):
-    """An inner loop's draws: its unit's plan when one is open, else its own plan."""
-    if isinstance(state.rng, _DrawAhead):
-        return contextlib.nullcontext(state.rng)
-    return _DrawAhead(state, plan)
 
 
 def _normals(shape, count: int = 1) -> tuple:
@@ -271,15 +266,9 @@ def ula_step(target, state: ChainState, tau: float) -> ChainState:
     return state
 
 
-def _ula_draws(spec: UlaSpec, shape) -> list:
-    """ula_run's draws, one task per step: ula_step's normal."""
-    return [_normals(shape)] * spec.steps
-
-
 def ula_run(target, spec: UlaSpec, state: ChainState) -> ChainState:
-    with _loop_draws(state, _ula_draws(spec, state.positions.shape)):
-        for _ in range(spec.steps):
-            ula_step(target, state, spec.tau)
+    for _ in range(spec.steps):
+        ula_step(target, state, spec.tau)
     return state
 
 
@@ -356,12 +345,6 @@ def _resolve_taylor_dt(spec: MalaSpec, oracle: ScoreOracle) -> float:
     return 1e-3
 
 
-def _mala_draws(spec: MalaSpec, shape) -> list:
-    """mala_run's draws, one task per step: the proposal's normal, then the
-    uniform of its accept test."""
-    return [_normals(shape) + (("random", shape[0]),)] * spec.steps
-
-
 def mala_run(target, spec: MalaSpec, state: ChainState) -> ChainState:
     """Run spec.steps MALA iterations, caching the current-point score.
 
@@ -387,35 +370,34 @@ def mala_run(target, spec: MalaSpec, state: ChainState) -> ChainState:
     state.nfe += state.n_chains
     root = math.sqrt(2.0 * tau)
     keep = np.empty(z.shape, dtype=bool)  # accept, one row per chain, for the copies
-    with _loop_draws(state, _mala_draws(spec, z.shape)) as rng:
-        for _ in range(spec.steps):
-            z_prop = z - tau * grad_z
-            z_prop += root * rng.standard_normal(z.shape)
-            log_u = np.log(rng.random(state.n_chains))
-            if taylor:
-                score_prop = target.score(z_prop)
-                f_diff, _ = taylor_energy_diff(target.score, z, z_prop,
-                                               u=spec.taylor_order, dt=dt,
-                                               score_at_z=score_z,
-                                               score_at_z2=score_prop)
-                r = -(f_diff + target.quadratic_diff(z, z_prop))
-            else:
-                score_prop, logp_prop = target.score(z_prop, with_log_density=True)
-                r = -target.energy_diff(z, z_prop, log_p=(logp_z, logp_prop))
-            grad_prop = target.grad_energy(z_prop, score_value=score_prop)
-            log_a = mala_accept_log(target, z, z_prop, tau, grad_z=grad_z,
-                                    grad_prop=grad_prop, neg_energy_diff=r)
-            accept = log_u < log_a
-            state.propose_count += state.n_chains
-            state.accept_count += int(accept.sum())
-            state.nfe += spec.step_nfe * state.n_chains
-            np.copyto(keep, accept[:, None])
-            np.copyto(z, z_prop, where=keep)
-            np.copyto(grad_z, grad_prop, where=keep)
-            if taylor:  # the exact path reads score_z only for the first gradient
-                np.copyto(score_z, score_prop, where=keep)
-            else:
-                np.copyto(logp_z, logp_prop, where=accept)
+    for _ in range(spec.steps):
+        z_prop = z - tau * grad_z
+        z_prop += root * state.rng.standard_normal(z.shape)
+        log_u = np.log(state.rng.random(state.n_chains))
+        if taylor:
+            score_prop = target.score(z_prop)
+            f_diff, _ = taylor_energy_diff(target.score, z, z_prop,
+                                           u=spec.taylor_order, dt=dt,
+                                           score_at_z=score_z,
+                                           score_at_z2=score_prop)
+            r = -(f_diff + target.quadratic_diff(z, z_prop))
+        else:
+            score_prop, logp_prop = target.score(z_prop, with_log_density=True)
+            r = -target.energy_diff(z, z_prop, log_p=(logp_z, logp_prop))
+        grad_prop = target.grad_energy(z_prop, score_value=score_prop)
+        log_a = mala_accept_log(target, z, z_prop, tau, grad_z=grad_z,
+                                grad_prop=grad_prop, neg_energy_diff=r)
+        accept = log_u < log_a
+        state.propose_count += state.n_chains
+        state.accept_count += int(accept.sum())
+        state.nfe += spec.step_nfe * state.n_chains
+        np.copyto(keep, accept[:, None])
+        np.copyto(z, z_prop, where=keep)
+        np.copyto(grad_z, grad_prop, where=keep)
+        if taylor:  # the exact path reads score_z only for the first gradient
+            np.copyto(score_z, score_prop, where=keep)
+        else:
+            np.copyto(logp_z, logp_prop, where=accept)
     state.positions = z
     return state
 
@@ -486,15 +468,9 @@ def uld_step(target, state: ChainState, tau: float, gamma: float) -> ChainState:
     return state
 
 
-def _uld_draws(spec: UldSpec, shape) -> list:
-    """uld_run's draws, one task per step: uld_noise_pair's two normals."""
-    return [_normals(shape, 2)] * spec.steps
-
-
 def uld_run(target, spec: UldSpec, state: ChainState) -> ChainState:
-    with _loop_draws(state, _uld_draws(spec, state.positions.shape)):
-        for _ in range(spec.steps):
-            uld_step(target, state, spec.tau, spec.gamma)
+    for _ in range(spec.steps):
+        uld_step(target, state, spec.tau, spec.gamma)
     return state
 
 
@@ -509,14 +485,18 @@ class SegmentTrace:
     proposals: int
 
 
-def _inner_loop(spec):
-    """(the inner loop that runs spec, the function that lists its draws)."""
+def _inner_loop(spec, shape):
+    """(the inner loop that runs spec, the task of one of its steps' draws).
+
+    A MALA step draws its proposal's normal, then its accept test's uniform;
+    a ULA step ula_step's normal; a ULD step uld_noise_pair's two normals.
+    """
     if isinstance(spec, MalaSpec):
-        return mala_run, _mala_draws
+        return mala_run, _normals(shape) + (("random", shape[0]),)
     if isinstance(spec, UlaSpec):
-        return ula_run, _ula_draws
+        return ula_run, _normals(shape)
     if isinstance(spec, UldSpec):
-        return uld_run, _uld_draws
+        return uld_run, _normals(shape, 2)
     raise TypeError(f"rtk_run cannot drive {type(spec).__name__}")
 
 
@@ -547,11 +527,11 @@ def rtk_run(oracle: ScoreOracle, schedule, specs, n_chains: int,
     specs = list(specs)
     if len(specs) != len(segments):
         raise ValueError(f"need {len(segments)} inner specs, got {len(specs)}")
-    loops = [_inner_loop(spec) for spec in specs]
     shape = (n_chains, oracle.dim)
+    loops = [_inner_loop(spec, shape) for spec in specs]
     plan = [_normals(shape)]  # the prior
-    for seg, spec, (_, draws) in zip(segments, specs, loops):
-        plan += _init_draws(seg, spec, shape) + draws(spec, shape)
+    for seg, spec, (_, step) in zip(segments, specs, loops):
+        plan += _init_draws(seg, spec, shape) + [step] * spec.steps
     state = ChainState(np.empty(shape), rng)
     traces: list[SegmentTrace] = []
     with _DrawAhead(state, plan):

@@ -262,6 +262,26 @@ class TestBadExperimentValues:
         assert "experiment.nfe_budgets = 3 cannot cover the 5 schedule segments" in err
         assert calls == []
 
+    @pytest.mark.parametrize("text, message", [
+        (_with_line("mixture.variance = 1e-200")
+         .replace("mixture.kind = standard_normal", "mixture.kind = ring")
+         .replace("schedule.kind = fixed", "schedule.kind = theory"),
+         "schedule.kind = theory: no segment count for L = 1 / min mixture variance = 1e+200"),
+        (_with_line("schedule.eps = 1e-200").replace("schedule.kind = fixed", "schedule.kind = theory"),
+         "schedule.eps = 1e-200 (float division by zero)"),
+        (_with_line("experiment.horizon = 1e-20").replace("schedule.times = 0,1.2", "schedule.times = 0"),
+         "schedule.times and experiment.horizon give the segment from t = 0 a length of 1e-20"),
+        (_with_line("schedule.times = 0,1e-20"),
+         "schedule.times and experiment.horizon give the segment from t = 0 a length of 1e-20"),
+    ], ids=["theory-tiny-variance", "theory-tiny-eps", "fixed-tiny-horizon", "fixed-tiny-segment"])
+    def test_degenerate_schedule_fails_before_any_unit(self, tmp_path, capsys, monkeypatch,
+                                                       text, message):
+        calls = []
+        monkeypatch.setattr(bench, "ddpm_run", lambda *args, **kwargs: calls.append(1))
+        err = self.run_one_line_error(tmp_path, capsys, text)
+        assert message in err
+        assert calls == []
+
     def test_non_finite_schedule_time(self, tmp_path, capsys):
         # A theory schedule never reads schedule.times, but its entries are checked.
         text = _with_line("schedule.kind = theory").replace(

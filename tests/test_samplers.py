@@ -574,8 +574,8 @@ class TestRtkRun:
         assert a.nfe == b.nfe
 
 
-# At d = 2 a draw for this many chains has 5,000 elements, enough for the
-# loops to hand their draws to a helper thread.
+# At d = 2 a draw for this many chains has 5,000 elements, enough for a
+# unit to hand its draws to a helper thread.
 AHEAD_CHAINS = 2500
 assert 2 * AHEAD_CHAINS >= samplers._AHEAD_MIN_SIZE
 
@@ -604,16 +604,36 @@ class RecordingRng:
 
 
 def run_loop(name, rng):
-    """Six steps of one inner loop (or DDPM) over AHEAD_CHAINS chains at d = 2."""
+    """Six steps of one inner loop over AHEAD_CHAINS chains at d = 2."""
     oracle = ScoreOracle(mixture_target().oracle.base, score_error=0.5, error_seed=3,
                          error_cell=1e6)
-    if name == "ddpm":
-        return ddpm_run(oracle, 1.5, 6, AHEAD_CHAINS, rng)
     target = RtkTarget(oracle, 0.5, 0.5, rng.standard_normal((AHEAD_CHAINS, 2)))
     state = ChainState(rng.standard_normal((AHEAD_CHAINS, 2)), rng,
                        velocity=rng.standard_normal((AHEAD_CHAINS, 2)))
     run, spec = LOOPS[name]
     return run(target, spec, state)
+
+
+# Whole units over three segments: ULA warm-starts its later segments, ULD
+# draws its initialization pair either way, and MALA restarts even a 0-step
+# segment.
+UNITS = {
+    "ula": UlaSpec(steps=3, tau=0.05),
+    "uld": UldSpec(steps=3, tau=0.1, gamma=2.0),
+    "uld_warm": UldSpec(steps=3, tau=0.1, gamma=2.0, init="warm"),
+    "mala": [MalaSpec(steps=3, tau=0.05), MalaSpec(steps=0, tau=0.05), MalaSpec(steps=2, tau=0.05)],
+    "mala_es": MalaSpec(steps=3, tau=0.05, estimator="taylor"),
+}
+
+
+def run_unit(name, rng, chains=AHEAD_CHAINS):
+    """The final state of one unit, as bench runs it, at d = 2."""
+    oracle = ScoreOracle(mixture_target().oracle.base, score_error=0.5, error_seed=3,
+                         error_cell=1e6)
+    if name == "ddpm":
+        return ddpm_run(oracle, 1.5, 6, chains, rng)
+    sched = FixedSchedule(times=(0.0, 0.5, 1.0), horizon=1.5, L=2.0)
+    return rtk_run(oracle, sched, UNITS[name], chains, rng)[0]
 
 
 def helper_threads(rng):
@@ -651,6 +671,13 @@ class SwappedPlan(samplers._DrawAhead):
         super().__init__(state, swap_pairs(plan))
 
 
+class ExtraTask(samplers._DrawAhead):
+    """A faulty plan: one task more than its unit draws."""
+
+    def __init__(self, state, plan):
+        super().__init__(state, plan + plan[-1:])
+
+
 class SwappedByKind(SwappedPlan):
     """A faulty stand-in: the helper draws each uniform before its step's
     normal, and requests are served by kind, so no request is refused."""
@@ -679,31 +706,30 @@ def inline_run(run, name, monkeypatch):
 
 @pytest.mark.usefixtures("two_usable_cores")
 class TestDrawAhead:
-    @pytest.mark.parametrize("name", ["ddpm", *LOOPS])
-    def test_helper_run_equals_the_inline_run(self, name, monkeypatch):
+    @pytest.mark.parametrize("name", list(LOOPS))
+    def test_a_loop_run_alone_draws_inline(self, name, thread_starts):
         rng = RecordingRng(40)
-        ahead = run_loop(name, rng)
-        assert len(helper_threads(rng)) == 1  # every loop draw made on one helper thread
-        assert ahead.rng is rng
-        assert_same_run(ahead, inline_run(run_loop, name, monkeypatch))
+        state = run_loop(name, rng)
+        assert not thread_starts and rng.threads and not helper_threads(rng)
+        assert state.rng is rng
 
     def test_identity_holds_with_a_short_switch_interval(self, monkeypatch):
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            ahead = run_loop("mala", RecordingRng(40))
+            ahead = run_unit("mala", RecordingRng(40))
         finally:
             sys.setswitchinterval(interval)
-        assert_same_run(ahead, inline_run(run_loop, "mala", monkeypatch))
+        assert_same_run(ahead, inline_run(run_unit, "mala", monkeypatch))
 
     def test_control_a_swapped_plan_fails_the_identity_check(self, monkeypatch):
-        inline = inline_run(run_loop, "mala", monkeypatch)
+        inline = inline_run(run_unit, "mala", monkeypatch)
         with monkeypatch.context() as m:
             m.setattr(samplers, "_DrawAhead", SwappedPlan)
             with pytest.raises(RuntimeError, match="unplanned draw standard_normal"):
-                run_loop("mala", RecordingRng(40))
+                run_unit("mala", RecordingRng(40))
             m.setattr(samplers, "_DrawAhead", SwappedByKind)
-            swapped = run_loop("mala", RecordingRng(40))
+            swapped = run_unit("mala", RecordingRng(40))
         with pytest.raises(AssertionError):
             assert_same_run(swapped, inline)
 
@@ -721,59 +747,30 @@ class TestDrawAhead:
                 state.rng.random(chains)
         assert state.rng is rng
 
-    @pytest.mark.parametrize("name", ["ddpm", "ula", "uld", "mala"])
-    def test_an_oracle_error_mid_loop_leaves_no_thread(self, name, monkeypatch):
-        baseline = threading.active_count()
-        real, calls = ScoreOracle.score, itertools.count()
+    @pytest.mark.parametrize("chains", [AHEAD_CHAINS, 10], ids=["helper", "inline"])
+    def test_control_a_plan_with_a_task_left_raises(self, chains, monkeypatch):
+        monkeypatch.setattr(samplers, "_DrawAhead", ExtraTask)
+        rng = RecordingRng(65)
+        with pytest.raises(RuntimeError, match="the unit ended with planned draws left"):
+            run_unit("mala", rng, chains)
+        assert bool(helper_threads(rng)) == (chains == AHEAD_CHAINS)
 
-        def failing(self, t, x, with_log_density=False):
-            if next(calls) == 3:
-                raise FloatingPointError("planted oracle fault")
-            return real(self, t, x, with_log_density)
-
-        monkeypatch.setattr(ScoreOracle, "score", failing)
-        rng = RecordingRng(41)
-        with pytest.raises(FloatingPointError, match="planted oracle fault"):
-            run_loop(name, rng)
-        assert helper_threads(rng)
-        assert threading.active_count() == baseline
-
-    def test_a_helper_error_surfaces_in_the_caller(self):
+    def test_a_helper_error_surfaces_in_the_caller(self, monkeypatch):
         class FailingRng(RecordingRng):
             def standard_normal(self, size=None):
                 super().standard_normal(size)
                 raise ValueError("planted draw fault")
 
+        states = []
+        monkeypatch.setattr(samplers, "ChainState",
+                            lambda *args: states.append(ChainState(*args)) or states[-1])
         rng = FailingRng(42)
-        state = ChainState(np.zeros((AHEAD_CHAINS, 2)), rng)
         baseline = threading.active_count()
         with pytest.raises(ValueError, match="planted draw fault"):
-            ula_run(ZeroGradTarget(), UlaSpec(steps=3, tau=0.1), state)
+            run_unit("ula", rng)
         assert helper_threads(rng) and threading.get_ident() not in rng.threads
-        assert state.rng is rng
+        assert states[0].rng is rng
         assert threading.active_count() == baseline
-
-
-# Whole units over three segments: ULA warm-starts its later segments, ULD
-# draws its initialization pair either way, and MALA restarts even a 0-step
-# segment.
-UNITS = {
-    "ula": UlaSpec(steps=3, tau=0.05),
-    "uld": UldSpec(steps=3, tau=0.1, gamma=2.0),
-    "uld_warm": UldSpec(steps=3, tau=0.1, gamma=2.0, init="warm"),
-    "mala": [MalaSpec(steps=3, tau=0.05), MalaSpec(steps=0, tau=0.05), MalaSpec(steps=2, tau=0.05)],
-    "mala_es": MalaSpec(steps=3, tau=0.05, estimator="taylor"),
-}
-
-
-def run_unit(name, rng, chains=AHEAD_CHAINS):
-    """The final state of one unit, as bench runs it, at d = 2."""
-    oracle = ScoreOracle(mixture_target().oracle.base, score_error=0.5, error_seed=3,
-                         error_cell=1e6)
-    if name == "ddpm":
-        return ddpm_run(oracle, 1.5, 6, chains, rng)
-    sched = FixedSchedule(times=(0.0, 0.5, 1.0), horizon=1.5, L=2.0)
-    return rtk_run(oracle, sched, UNITS[name], chains, rng)[0]
 
 
 @pytest.mark.usefixtures("two_usable_cores")
@@ -781,7 +778,7 @@ class TestUnitPlan:
     """One plan per unit: the prior, each segment's initialization and each
     step, made ahead on one helper thread."""
 
-    @pytest.mark.parametrize("name", list(UNITS))
+    @pytest.mark.parametrize("name", ["ddpm", *UNITS])
     def test_helper_unit_equals_the_inline_unit(self, name, monkeypatch):
         rng = RecordingRng(40)
         ahead = run_unit(name, rng)
